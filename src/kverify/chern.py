@@ -5,6 +5,12 @@ two; a CohClass holds the coefficient list of a polynomial in e.  The Chern
 character substitutes u -> exp(e) - 1, the additive Adams operation scales
 e^n by k^n, and the s-numbers are the rescaled coefficients m! [e^m] ch.
 
+The s-numbers never build ch.  Since (exp(e) - 1)^j = j! sum_m S(m, j) e^m/m!
+with S the Stirling numbers of the second kind, u^j contributes j! S(m, j)
+to m! [e^m] ch, and that integer counts the surjections from an m-set onto
+a j-set.  It vanishes for j > m, so s_m(f) is the dot product of c_0..c_m
+with one cached row of integers.  ch itself serves the series identities.
+
 The series checks at the bottom pin the two classical identities tying the
 multiplicative series (exp(x) - 1)/x to the positive even Bernoulli numbers
 and to the Adams-averaged line class.  Both are verified coefficient by
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import series
@@ -105,11 +112,38 @@ def psi_H(k: int, c: CohClass) -> CohClass:
     )
 
 
+@lru_cache(maxsize=None)
+def _surjections(m: int) -> tuple[int, ...]:
+    """(j! S(m, j) for j = 0..m): the surjections from an m-set onto a j-set.
+
+    In a surjection the last element shares one of j targets with the rest,
+    which already cover all j, or is alone on it while the rest cover the
+    other j - 1: a(m, j) = j (a(m-1, j) + a(m-1, j-1)).  The rows are built
+    in a loop rather than by recursion, so large m cannot hit the recursion
+    limit.
+    """
+    row = (1,)
+    for size in range(1, m + 1):
+        prev = row + (0,)
+        row = (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, size + 1))
+    return row
+
+
 def s_eval(m: int, f: KClass) -> Fraction:
-    """The m-th additive characteristic number m! [e^m] ch(f)."""
+    """The m-th additive characteristic number m! [e^m] ch(f).
+
+    Computed as sum_{j<=m} c_j j! S(m, j): u^j = (exp(e) - 1)^j starts at e^j
+    and its e^m coefficient times m! is the surjection count j! S(m, j), so
+    only c_0..c_m contribute.  Like ch, m above the truncation is an error.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return factorial(m) * ch(f, m).coefficient(m)
+    if m > f.truncation:
+        raise ValueError(
+            f"order {m} exceeds truncation {f.truncation}; the discarded "
+            f"u-powers would contribute"
+        )
+    return sum((c * a for c, a in zip(f.coeffs, _surjections(m))), Fraction(0))
 
 
 def bh(order: int) -> CohClass:

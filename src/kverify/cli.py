@@ -196,13 +196,7 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
             run_check(
                 "eigenvalue-p-local",
                 {"p": p, "k": k, "n": n},
-                lambda n=n: (
-                    "p-local"
-                    if vp(rk_eigenvalue(p, k, n), p).value >= 0
-                    else f"valuation {vp(rk_eigenvalue(p, k, n), p).value}",
-                    "p-local",
-                    (),
-                ),
+                lambda n=n: _p_local_thunk(p, k, n),
             )
         )
         vc = denominator_valuation_check(p, n)
@@ -230,6 +224,12 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
             )
         )
     return rows
+
+
+def _p_local_thunk(p: int, k: int, n: int):
+    valuation = vp(rk_eigenvalue(p, k, n), p).value
+    lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
+    return lhs, "p-local", ()
 
 
 def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[CheckReport]:
@@ -470,6 +470,11 @@ def _series_thunk(check):
     )
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def cmd_all(config: dict) -> list[CheckReport]:
     settings = dict(DEFAULTS)
     for key, value in config.items():
@@ -478,7 +483,12 @@ def cmd_all(config: dict) -> list[CheckReport]:
         if key not in settings:
             raise UsageError(f"unknown configuration key {key!r}")
         settings[key] = value
-    primes = tuple(settings["primes"])
+    for key in ("n_max", "truncation", "deg", "pages"):
+        if not _is_int(settings[key]):
+            raise UsageError(f"configuration key {key!r} must be an integer")
+    primes = settings["primes"]
+    if not isinstance(primes, (list, tuple)) or not primes or not all(map(_is_int, primes)):
+        raise UsageError("configuration key 'primes' must be a non-empty list of integers")
     for p in primes:
         if not is_prime(p):
             raise UsageError(f"configured prime {p} is not prime")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .exact import is_prime, vp
@@ -64,20 +65,43 @@ class OperationParams:
             raise ValueError("t must be nonnegative")
 
 
+@lru_cache(maxsize=None)
+def _substitution_matrix(k: int, truncation: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds the coefficients of ((1+u)^k - 1)^j mod u^(N+1)."""
+    shifted = [c.numerator for c in line_power(k, truncation).coeffs]
+    shifted[0] -= 1
+    rows = [(1,) + (0,) * truncation]
+    for _ in range(truncation):
+        prev = rows[-1]
+        rows.append(
+            tuple(
+                sum(prev[i] * shifted[n - i] for i in range(n + 1))
+                for n in range(truncation + 1)
+            )
+        )
+    return tuple(rows)
+
+
 def psi(k: int, f: KClass) -> KClass:
     """Adams operation psi^k: substitute u -> (1+u)^k - 1.
 
-    Defined for any nonzero integer k (negative k through the expansion of
-    (1+u)^k as a truncated series).  Coefficients of the result are integer
-    combinations of the input coefficients, so the claim is preserved.
+    Defined for any nonzero integer k (negative k through the integral
+    expansion of (1+u)^k that line_power uses).  The substitution is a fixed
+    integer matrix, cached per (k, N), whose row j is ((1+u)^k - 1)^j; the
+    result is the coefficient vector times that matrix.  Coefficients of
+    the result are integer combinations of the input coefficients, so the
+    claim is preserved and validated once, on the result.
     """
     if k == 0:
         raise ValueError("psi^0 is not an operation on these classes")
-    shifted = line_power(k, f.truncation) - 1
-    result = KClass.zero(f.truncation, INTEGRAL)
-    for c in reversed(f.coeffs):
-        result = result * shifted + c
-    return result.with_claim(f.claim)
+    rows = _substitution_matrix(k, f.truncation)
+    out = [Fraction(0)] * (f.truncation + 1)
+    for c, row in zip(f.coeffs, rows):
+        if c:
+            for n, a in enumerate(row):
+                if a:
+                    out[n] += c * a
+    return KClass(out, f.truncation, f.claim)
 
 
 def psi_on_suspension(k: int, s: SuspensionClass) -> SuspensionClass:

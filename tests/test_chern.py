@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kverify.chern import (
     CohClass,
@@ -19,7 +21,7 @@ from kverify.chern import (
 )
 from kverify.exact import choose_k, vp
 from kverify.kops import l_double_loop, psi
-from kverify.polyring import INTEGRAL, KClass, line_power
+from kverify.polyring import INTEGRAL, RATIONAL, KClass, line_power
 
 
 def test_cohclass_arithmetic():
@@ -74,6 +76,38 @@ def test_s_numbers_of_line_powers():
     assert s_eval(0, line_power(1, 4)) == 1
     with pytest.raises(ValueError):
         s_eval(-1, line_power(1, 4))
+
+
+@st.composite
+def rational_classes_and_order(draw):
+    truncation = draw(st.integers(min_value=0, max_value=20))
+    coeffs = draw(
+        st.lists(
+            st.fractions(max_denominator=12, min_value=-20, max_value=20),
+            min_size=truncation + 1,
+            max_size=truncation + 1,
+        )
+    )
+    m = draw(st.integers(min_value=0, max_value=truncation))
+    return KClass(coeffs, truncation, RATIONAL), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_classes_and_order())
+def test_s_eval_matches_character_route(fm):
+    # the surjection-number dot product against m! [e^m] of the full ch
+    f, m = fm
+    assert s_eval(m, f) == factorial(m) * ch(f, m).coefficient(m)
+
+
+def test_s_eval_window_edges():
+    f = KClass([Fraction(1, 3), -2, Fraction(5, 7), 4, Fraction(-1, 2)], 4, RATIONAL)
+    assert s_eval(0, f) == Fraction(1, 3) == factorial(0) * ch(f, 0).coefficient(0)
+    assert s_eval(4, f) == factorial(4) * ch(f, 4).coefficient(4)
+    with pytest.raises(ValueError, match="order 5 exceeds truncation 4"):
+        s_eval(5, f)
+    with pytest.raises(ValueError, match="order 1 exceeds truncation 0"):
+        s_eval(1, KClass([3], 0, INTEGRAL))
 
 
 def test_conjugate_line_duality_sign():

@@ -1,5 +1,6 @@
 """Exit codes, report schema, ordering, and JSON stability of the CLI."""
 
+import hashlib
 import json
 import os
 import re
@@ -125,6 +126,30 @@ def test_config_driven_all(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_max": "6"},
+        {"truncation": 2.5},
+        {"n_max": True},
+        {"deg": None},
+        {"pages": "3"},
+        {"primes": []},
+        {"primes": 3},
+        {"primes": [3, "5"]},
+        {"primes": [True]},
+        {"prime": 3.0},
+    ],
+)
+def test_config_values_are_type_checked(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: configuration key")
+
+
 # -- output formats ---------------------------------------------------------
 
 
@@ -158,6 +183,21 @@ def test_json_byte_stable_apart_from_timing(capsys):
         return json.dumps(rows, sort_keys=True)
 
     assert normalized() == normalized()
+
+
+# Default `all --json` captured before the s-number and psi rewrites, with
+# every elapsed_ms set to 0.  A refactor must reproduce it byte for byte.
+GOLDEN_ALL_SHA256 = "290095794a7f776b58a6e9675d32e0fccf1ad9391f9daaa6f4e3a1ba36f7d5b6"
+GOLDEN_ALL_ROWS = 666
+GOLDEN_ALL_BYTES = 178595
+
+
+def test_all_json_matches_golden(capsys):
+    assert main(["all", "--json"]) == 0
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert len(json.loads(text)) == GOLDEN_ALL_ROWS
+    assert len(text.encode()) == GOLDEN_ALL_BYTES
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ALL_SHA256
 
 
 def test_json_keys_are_sorted_in_output(capsys):

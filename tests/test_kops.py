@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kverify import kops
+from kverify import kops, series
 from kverify.kops import (
     IntegralityViolation,
     OperationParams,
@@ -31,6 +31,7 @@ from kverify.kops import (
 )
 from kverify.polyring import (
     INTEGRAL,
+    RATIONAL,
     KClass,
     SuspensionClass,
     k_inverted,
@@ -95,6 +96,29 @@ def test_psi_preserves_claim():
     assert psi(3, f).claim == p_local(3)
     with pytest.raises(ValueError):
         psi(0, f)
+
+
+def _psi_inputs(truncation):
+    """Classes at one truncation under each claim psi must keep."""
+    ramp = range(1, truncation + 2)
+    return [
+        KClass([(-1) ** i * i * i for i in ramp], truncation, INTEGRAL),
+        KClass([Fraction(i, 2) for i in ramp], truncation, p_local(3)),
+        KClass([Fraction(1, 5**i) for i in range(truncation + 1)], truncation, k_inverted(5)),
+        KClass([Fraction(i, i + 3) for i in ramp], truncation, RATIONAL),
+    ]
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 8, 16])
+@pytest.mark.parametrize("k", [-3, -1, 1, 2, 3, 5, 7])
+def test_psi_matches_horner_substitution(k, truncation):
+    shifted = (line_power(k, truncation) - 1).coeffs
+    for f in _psi_inputs(truncation):
+        horner = series.compose(f.coeffs, shifted, truncation)
+        result = psi(k, f)
+        assert result.coeffs == horner
+        assert result.truncation == truncation
+        assert result.claim == f.claim
 
 
 def test_psi_on_suspension_scales_by_k():
