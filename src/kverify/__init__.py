@@ -10,7 +10,7 @@ spectral sequences.  Everything is exact; nothing is floating point.
 
 from .bockstein import ModelKind, build_model, compute_page, verify_closed_form_pages
 from .chern import ch, eigenvalue_closed_form, rk_eigenvalue, s_eval
-from .dyerlashof import akita_counterexample, is_admissible, q_on_bu
+from .dyerlashof import akita_counterexample, q_on_bu
 from .exact import bernoulli, choose_k, num_denom, vp
 from .kops import artin_hasse_log, l_double_loop, psi, theta
 from .polyring import (
@@ -40,7 +40,6 @@ __all__ = [
     "choose_k",
     "compute_page",
     "eigenvalue_closed_form",
-    "is_admissible",
     "k_inverted",
     "l_double_loop",
     "line_power",

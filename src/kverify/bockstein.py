@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .dyerlashof import AdmissibleWord, is_admissible, word_degree, word_excess
 from .exact import is_prime
 
 
@@ -281,46 +280,3 @@ def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
         "homology already (degree 5 at p=3, generator degree 2)",
     )
     return PageReport(tuple(rows), passed, notes)
-
-
-def enumerate_e1_generators(
-    p: int, base_degrees: list, max_degree: int
-) -> list[AdmissibleWord]:
-    """All admissible operation words over the given base degrees with even
-    total degree at most max_degree, the empty word included.
-
-    Depth-first, extending words on the right.  Extending never raises the
-    excess, so a branch whose excess has fallen to the base degree is dead;
-    the degree budget bounds the indices at each position.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p = {p} must be an odd prime")
-    found: list[AdmissibleWord] = []
-
-    def extend(entries: tuple[tuple[int, int], ...], base: int) -> None:
-        degree = word_degree(entries, base, p)
-        previous_i = entries[-1][1] if entries else None
-        budget = max_degree - degree
-        for eps in (0, 1):
-            if previous_i is None:
-                low = 1
-            else:
-                low = -((previous_i + eps) // -p)
-            high = (budget + eps) // (2 * (p - 1))
-            for i in range(low, high + 1):
-                candidate = entries + ((eps, i),)
-                if word_excess(candidate, p) <= base:
-                    continue
-                if is_admissible(candidate, base, p):
-                    total = word_degree(candidate, base, p)
-                    if total <= max_degree and total % 2 == 0:
-                        found.append(AdmissibleWord(candidate, base))
-                extend(candidate, base)
-
-    for base in base_degrees:
-        if base < 0:
-            raise ValueError("base degrees must be nonnegative")
-        if base <= max_degree and base % 2 == 0:
-            found.append(AdmissibleWord((), base))
-        extend((), base)
-    return found

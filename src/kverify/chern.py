@@ -1,9 +1,11 @@
 """Chern character bridge between the K-theory model and cohomology.
 
 Cohomology of the projective space model is Q[e]/(e^(M+1)) with e of degree
-two; a CohClass holds the coefficient list of a polynomial in e.  The Chern
-character substitutes u -> exp(e) - 1, the additive Adams operation scales
-e^n by k^n, and the s-numbers are the rescaled coefficients m! [e^m] ch.
+two, the same truncated ring as K-theory read in another generator, so a
+cohomology class is a rational KClass whose coefficients are read in e
+rather than u.  The Chern character substitutes u -> exp(e) - 1, the
+additive Adams operation scales e^n by k^n, and the s-numbers are the
+rescaled coefficients m! [e^m] ch.
 
 The s-numbers never build ch.  Since (exp(e) - 1)^j = j! sum_m S(m, j) e^m/m!
 with S the Stirling numbers of the second kind, u^j contributes j! S(m, j)
@@ -27,69 +29,10 @@ from math import factorial
 from . import series
 from .exact import bernoulli
 from .kops import r_virtual_conjugate_minus_one, rho_line
-from .polyring import KClass, line_power
+from .polyring import RATIONAL, KClass, line_power
 
 
-class CohClass:
-    """Polynomial in the degree-two generator, exact coefficients, no claims."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = max(len(coeffs) - 1, 0)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        self.order = order
-        self.coeffs = series.fit(coeffs, order)
-
-    def coefficient(self, m: int) -> Fraction:
-        if not 0 <= m <= self.order:
-            raise IndexError(f"coefficient e^{m} outside order {self.order}")
-        return self.coeffs[m]
-
-    def _match(self, other: "CohClass") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other):
-        if isinstance(other, CohClass):
-            self._match(other)
-            return CohClass(series.add(self.coeffs, other.coeffs), self.order)
-        return NotImplemented
-
-    def __neg__(self):
-        return CohClass(series.neg(self.coeffs), self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, CohClass):
-            return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, CohClass):
-            self._match(other)
-            return CohClass(series.mul(self.coeffs, other.coeffs, self.order), self.order)
-        if isinstance(other, (int, Fraction)):
-            return CohClass(series.scale(self.coeffs, Fraction(other)), self.order)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, CohClass):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return f"CohClass({[str(c) for c in self.coeffs]}, order={self.order})"
-
-
-def ch(f: KClass, order: int | None = None) -> CohClass:
+def ch(f: KClass, order: int | None = None) -> KClass:
     """Chern character: substitute u -> exp(e) - 1.
 
     Only orders up to the K-theory truncation are geometrically determined,
@@ -102,13 +45,17 @@ def ch(f: KClass, order: int | None = None) -> CohClass:
             f"order {order} exceeds truncation {f.truncation}; the discarded "
             f"u-powers would contribute"
         )
-    return CohClass(series.compose(f.coeffs, series.exp_minus_one(order), order), order)
+    return KClass(
+        series.compose(f.coeffs, series.exp_minus_one(order), order), order, RATIONAL
+    )
 
 
-def psi_H(k: int, c: CohClass) -> CohClass:
+def psi_H(k: int, c: KClass) -> KClass:
     """Adams operation on cohomology: e^n is scaled by k^n."""
-    return CohClass(
-        [coeff * Fraction(k) ** n for n, coeff in enumerate(c.coeffs)], c.order
+    return KClass(
+        [coeff * Fraction(k) ** n for n, coeff in enumerate(c.coeffs)],
+        c.truncation,
+        c.claim,
     )
 
 
@@ -146,9 +93,11 @@ def s_eval(m: int, f: KClass) -> Fraction:
     return sum((c * a for c, a in zip(f.coeffs, _surjections(m))), Fraction(0))
 
 
-def bh(order: int) -> CohClass:
+def bh(order: int) -> KClass:
     """The multiplicative series (exp(x) - 1)/x as a polynomial through x^order."""
-    return CohClass([Fraction(1, factorial(m + 1)) for m in range(order + 1)], order)
+    return KClass(
+        [Fraction(1, factorial(m + 1)) for m in range(order + 1)], order, RATIONAL
+    )
 
 
 @dataclass(frozen=True)
@@ -228,21 +177,3 @@ def rk_eigenvalue(p: int, k: int, n: int, truncation: int | None = None) -> Frac
             f"normalizing s-number came out {denominator}, expected {(-1) ** m}"
         )
     return numerator / denominator
-
-
-def kappa_sign_shadow(n: int, truncation: int | None = None) -> Fraction:
-    """Sign relating the s-numbers of a reduced line and its conjugate at
-    weight n: s(n, conjugate) / s(n, line), computed from the series.
-
-    Comes out (-1)^n.  The fiber-integrated class of weight n - 1 is the
-    fiber integral of the n-th power of the degree-two generator, so under
-    fiberwise conjugation it picks up exactly this sign; odd n therefore
-    flips the even-weight integrated class.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if truncation is None:
-        truncation = n + 2
-    conj = s_eval(n, line_power(-1, truncation) - 1)
-    line = s_eval(n, line_power(1, truncation) - 1)
-    return conj / line

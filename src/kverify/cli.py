@@ -169,7 +169,9 @@ def cmd_bernoulli(n_max: int) -> list[CheckReport]:
     return rows
 
 
-def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]:
+def _eigenvalue_k(p: int, n_max: int, k: int | None) -> int:
+    """Check the arguments theorem-a and eigenvalue share and return k,
+    chosen by choose_k(p) when not given."""
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     if n_max < 1:
@@ -178,6 +180,11 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
         k = choose_k(p)
     if k < 2 or gcd(k, p) != 1:
         raise UsageError(f"k = {k} must be at least 2 and coprime to p = {p}")
+    return k
+
+
+def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]:
+    k = _eigenvalue_k(p, n_max, k)
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -233,14 +240,7 @@ def _p_local_thunk(p: int, k: int, n: int):
 
 
 def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[CheckReport]:
-    if not is_prime(p):
-        raise UsageError(f"p = {p} is not prime")
-    if n_max < 1:
-        raise UsageError("n-max must be at least 1")
-    if k is None:
-        k = choose_k(p)
-    if k < 2 or gcd(k, p) != 1:
-        raise UsageError(f"k = {k} must be at least 2 and coprime to p = {p}")
+    k = _eigenvalue_k(p, n_max, k)
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -476,6 +476,8 @@ def _is_int(value) -> bool:
 
 
 def cmd_all(config: dict) -> list[CheckReport]:
+    if "prime" in config and "primes" in config:
+        raise UsageError("configuration keys 'prime' and 'primes' are exclusive")
     settings = dict(DEFAULTS)
     for key, value in config.items():
         if key == "prime":
@@ -594,7 +596,7 @@ def _rows_for(args) -> list[CheckReport]:
             try:
                 with open(args.config, "r", encoding="utf-8") as handle:
                     config = json.load(handle)
-            except (OSError, json.JSONDecodeError) as err:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise UsageError(f"cannot read config {args.config}: {err}") from err
             if not isinstance(config, dict):
                 raise UsageError("config must be a flat JSON object")

@@ -27,62 +27,6 @@ from .polyring import line_power
 
 
 @dataclass(frozen=True)
-class AdmissibleWord:
-    """An iterated operation word (eps_1, i_1), ..., (eps_k, i_k) acting on a
-    class of the given degree; eps marks a Bockstein prefix.
-
-    Instances are produced by enumerators after is_admissible has accepted
-    the raw entries; the dataclass itself stores, it does not police.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    base_degree: int
-
-    def degree(self, p: int) -> int:
-        return word_degree(self.entries, self.base_degree, p)
-
-
-def word_degree(entries, base_degree: int, p: int) -> int:
-    """Total degree: each (eps, i) raises degree by 2i(p-1) - eps."""
-    return base_degree + sum(2 * i * (p - 1) - eps for eps, i in entries)
-
-
-def word_excess(entries, p: int) -> int:
-    """2 i_1 minus the degree contribution of the remaining entries."""
-    if not entries:
-        raise ValueError("excess of the empty word is undefined")
-    return 2 * entries[0][1] - sum(
-        2 * i * (p - 1) - eps for eps, i in entries[1:]
-    )
-
-
-def is_admissible(entries, base_degree: int, p: int) -> bool:
-    """Both admissibility conditions: the adjacent inequality
-    i_{j-1} <= p i_j - eps_j and the excess bound
-    2 i_1 - sum_{j>=2} (2 i_j (p-1) - eps_j) > base_degree.
-
-    The empty word is admissible (it is the class itself).
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p = {p} must be an odd prime")
-    if base_degree < 0:
-        raise ValueError("base_degree must be nonnegative")
-    entries = tuple(tuple(entry) for entry in entries)
-    for eps, i in entries:
-        if eps not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {eps}")
-        if i < 1:
-            raise ValueError(f"operation index must be positive, got {i}")
-    if not entries:
-        return True
-    for j in range(1, len(entries)):
-        eps_j, i_j = entries[j]
-        if entries[j - 1][1] > p * i_j - eps_j:
-            return False
-    return word_excess(entries, p) > base_degree
-
-
-@dataclass(frozen=True)
 class LeadingHomologyClass:
     """c * a_m plus unspecified decomposables, mod p.
 
@@ -191,22 +135,6 @@ class Certificate:
             and self.distinct_mod_p
             and self.verdict == "conjecture fails mod p"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "s_pairing": self.s_pairing,
-            "kappa_side": self.kappa_side,
-            "num": self.num,
-            "denom": self.denom,
-            "num_residue": self.num_residue,
-            "cleared_identity_ok": self.cleared_identity_ok,
-            "distinct_mod_p": self.distinct_mod_p,
-            "genus_threshold": self.genus_threshold,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
 
 
 def akita_counterexample(p: int) -> Certificate:

@@ -15,10 +15,8 @@ of the places these operations are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .exact import is_prime, vp
 from .polyring import (
@@ -44,25 +42,6 @@ class IntegralityViolation(ArithmeticError):
             f"coefficient {coefficient} of u^{index} is not divisible by "
             f"{prime}^{t}"
         )
-
-
-@dataclass(frozen=True)
-class OperationParams:
-    """Validated (k, p) pair for the operations that need k prime to p."""
-
-    k: int
-    p: int
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.k < 2:
-            raise ValueError(f"k = {self.k} must be at least 2")
-        if gcd(self.k, self.p) != 1:
-            raise ValueError(f"k = {self.k} must be prime to p = {self.p}")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,15 @@ plain rationals).  Claims are predicates re-checked against the actual
 coefficients on every construction; they are bookkeeping, never a change of
 representation.
 
+KClass serves both sides of the Chern character.  Cohomology of the same
+space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
+chern hands back rational KClass values whose coefficients are read in e.
+
 Suspension classes model the reduced K-theory of a double suspension, where
-the product of any two reduced classes vanishes.  Their arithmetic lives
-here because the square-zero law is part of the ring model; the operations
-that act on them (Adams operations, theta operations) live in kops.
+the product of any two reduced classes vanishes.  That square-zero law lives
+in SuspensionClass.__pow__, the only product the logarithm takes of them;
+the operations that act on them (Adams operations, theta operations) live
+in kops.
 """
 
 from __future__ import annotations
@@ -196,13 +201,6 @@ class KClass:
         """Re-house the same element under another (validated) claim."""
         return KClass(self.coeffs, self.truncation, claim)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "claim": self.claim.label(),
-            "coeffs": [frac_str(c) for c in self.coeffs],
-        }
-
     # -- ring structure ----------------------------------------------------
 
     def _match(self, other: "KClass") -> None:
@@ -318,8 +316,8 @@ def line_power(a: int, truncation: int, claim: Claim = INTEGRAL) -> KClass:
 class SuspensionClass:
     """base * w for the reduced generator w of a double suspension.
 
-    Products of two suspension classes vanish (square-zero); K-classes and
-    scalars act through the base.
+    Products of two reduced classes vanish (square-zero), so every power
+    above the first is zero; sums and negation act through the base.
     """
 
     __slots__ = ("base",)
@@ -349,27 +347,6 @@ class SuspensionClass:
     def __sub__(self, other):
         if isinstance(other, SuspensionClass):
             return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, SuspensionClass):
-            if self.truncation != other.truncation:
-                raise TruncationMismatch(
-                    f"truncation {self.truncation} vs {other.truncation}"
-                )
-            # square-zero law for reduced classes of the suspension
-            return SuspensionClass.zero(
-                self.truncation, self.base.claim.join(other.base.claim)
-            )
-        if isinstance(other, (KClass, int, Fraction)):
-            return SuspensionClass(self.base * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SuspensionClass(self.base / other)
         return NotImplemented
 
     def __pow__(self, n: int):

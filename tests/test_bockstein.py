@@ -14,12 +14,10 @@ from kverify.bockstein import (
     PageBasis,
     build_model,
     compute_page,
-    enumerate_e1_generators,
     page_homology_dims,
     rank_mod_p,
     verify_closed_form_pages,
 )
-from kverify.dyerlashof import is_admissible, word_degree
 
 
 def test_build_model_validation():
@@ -181,35 +179,3 @@ def test_dd_zero_guard_trips_on_forged_page():
     )
     with pytest.raises(ArithmeticError):
         _check_dd_zero(forged)
-
-
-# -- generator enumeration --------------------------------------------------
-
-
-def test_enumerate_frozen_small_cases():
-    [only] = enumerate_e1_generators(3, [2], 2)
-    assert only.entries == () and only.base_degree == 2
-    words = enumerate_e1_generators(3, [2], 10)
-    assert [w.entries for w in words] == [(), ((0, 2),)]
-    words = enumerate_e1_generators(3, [0], 8)
-    assert [w.entries for w in words] == [(), ((0, 1),), ((0, 2),)]
-
-
-def test_enumerate_output_is_admissible_and_even():
-    for p in (3, 5):
-        for base in ([0], [2, 4]):
-            words = enumerate_e1_generators(p, base, 6 * p)
-            seen = set()
-            for w in words:
-                assert is_admissible(w.entries, w.base_degree, p)
-                total = word_degree(w.entries, w.base_degree, p)
-                assert total % 2 == 0 and total <= 6 * p
-                assert (w.entries, w.base_degree) not in seen
-                seen.add((w.entries, w.base_degree))
-
-
-def test_enumerate_validation():
-    with pytest.raises(ValueError):
-        enumerate_e1_generators(2, [0], 10)
-    with pytest.raises(ValueError):
-        enumerate_e1_generators(3, [-2], 10)

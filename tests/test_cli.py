@@ -1,6 +1,8 @@
 """Exit codes, report schema, ordering, and JSON stability of the CLI."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import re
@@ -20,7 +22,9 @@ from kverify.cli import (
     UsageError,
     cmd_akita,
     cmd_bockstein,
+    cmd_eigenvalue,
     cmd_series,
+    cmd_theorem_a,
     main,
     run_check,
     sort_reports,
@@ -78,6 +82,14 @@ def test_suite_usage_errors():
         cmd_bockstein(3, 2, 1, None)
     with pytest.raises(UsageError):
         cmd_series(3)
+    with pytest.raises(UsageError):
+        cmd_theorem_a(4, 2)
+    with pytest.raises(UsageError):
+        cmd_theorem_a(3, 0)
+    with pytest.raises(UsageError):
+        cmd_eigenvalue(3, 2, 3, 8)
+    with pytest.raises(UsageError):
+        cmd_eigenvalue(3, 2, 1, 8)
 
 
 # -- exit codes through main ------------------------------------------------
@@ -123,7 +135,10 @@ def test_config_driven_all(tmp_path, capsys):
 
     config.write_text("{not json")
     assert main(["all", "--config", str(config)]) == 2
-    capsys.readouterr()
+
+    config.write_bytes(b'\xff\xfe{"n_max": 2}')
+    assert main(["all", "--config", str(config)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -139,6 +154,7 @@ def test_config_driven_all(tmp_path, capsys):
         {"primes": [3, "5"]},
         {"primes": [True]},
         {"prime": 3.0},
+        {"primes": [3], "n_max": 2, "prime": 5},
     ],
 )
 def test_config_values_are_type_checked(tmp_path, capsys, config):
@@ -148,6 +164,60 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: configuration key")
+
+
+# -- reachability -----------------------------------------------------------
+
+MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "cli")
+
+# Public names that an `all` run leaves uncalled, each with the reason it stays.
+ALLOWED_UNREACHED = {
+    "exact.bernoulli_table": "the shared Bernoulli table will serve the bernoulli rows",
+    "kops.lambda_line": "acceptance gate 4 checks the transfer identities with it",
+    "kops.rho_sum": "acceptance gate 4 checks the transfer identities with it",
+}
+
+
+def _public_entry_points():
+    """(name, code objects) for each public function of the modules, and for
+    each public non-exception class with its own __init__ or __post_init__."""
+    for module_name in MODULES:
+        module = importlib.import_module(f"kverify.{module_name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module_name}.{name}", {obj.__code__}
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                hooks = {
+                    vars(obj)[hook].__code__
+                    for hook in ("__init__", "__post_init__")
+                    if hook in vars(obj)
+                }
+                if hooks:
+                    yield f"{module_name}.{name}", hooks
+
+
+def test_all_run_reaches_every_public_entry_point(tmp_path, capsys):
+    # Code that only tests reach either earns a report row or is deleted.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [2, 3], "n_max": 2, "truncation": 4}))
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(record)
+    try:
+        code = main(["all", "--config", str(config), "--json"])
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert code == 0
+    unreached = {name for name, codes in _public_entry_points() if not codes & called}
+    assert unreached == set(ALLOWED_UNREACHED)
 
 
 # -- output formats ---------------------------------------------------------

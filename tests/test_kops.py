@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from kverify import kops, series
 from kverify.kops import (
     IntegralityViolation,
-    OperationParams,
     artin_hasse_log,
     artin_hasse_log_on_suspension,
     l_double_loop,
@@ -125,17 +124,6 @@ def test_psi_on_suspension_scales_by_k():
     f = KClass([1, 1], 4, INTEGRAL)
     assert psi_on_suspension(3, suspend(f)) == suspend(3 * psi(3, f))
 
-
-def test_operation_params_validation():
-    OperationParams(k=3, p=2, t=1)
-    with pytest.raises(ValueError):
-        OperationParams(k=3, p=4)
-    with pytest.raises(ValueError):
-        OperationParams(k=1, p=3)
-    with pytest.raises(ValueError):
-        OperationParams(k=6, p=3)
-    with pytest.raises(ValueError):
-        OperationParams(k=3, p=2, t=-1)
 
 
 # -- transfer classes -------------------------------------------------------
