@@ -185,6 +185,7 @@ def _eigenvalue_k(p: int, n_max: int, k: int | None) -> int:
 
 def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]:
     k = _eigenvalue_k(p, n_max, k)
+    valuation_k = choose_k(p)  # the valuation identity always uses the generator
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -206,16 +207,11 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
                 lambda n=n: _p_local_thunk(p, k, n),
             )
         )
-        vc = denominator_valuation_check(p, n)
         rows.append(
             run_check(
                 "denominator-valuation",
-                {"p": p, "k": vc.k, "n": n},
-                lambda vc=vc: (
-                    f"v={vc.lhs_valuation}",
-                    f"v={vc.rhs_valuation}",
-                    (vc.note,) if vc.note else (),
-                ),
+                {"p": p, "k": valuation_k, "n": n},
+                lambda n=n: _valuation_thunk(p, n),
             )
         )
         rows.append(
@@ -231,6 +227,11 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
             )
         )
     return rows
+
+
+def _valuation_thunk(p: int, n: int):
+    vc = denominator_valuation_check(p, n)
+    return f"v={vc.lhs_valuation}", f"v={vc.rhs_valuation}", (vc.note,) if vc.note else ()
 
 
 def _p_local_thunk(p: int, k: int, n: int):
@@ -273,25 +274,22 @@ def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[C
 def cmd_akita(p: int) -> list[CheckReport]:
     if p == 2 or not is_prime(p):
         raise UsageError("the counterexample certificate needs an odd prime")
-    certificate = akita_counterexample(p)
 
     def thunk():
+        certificate = akita_counterexample(p)
         verdict = certificate.verdict if certificate.passed else "certificate incomplete"
-        return verdict, "conjecture fails mod p", ()
-
-    return [
-        run_check(
-            "akita-counterexample",
-            {"p": p},
-            thunk,
-            notes=certificate.notes
+        return (
+            verdict,
+            "conjecture fails mod p",
+            certificate.notes
             + (
                 f"s-side pairing {certificate.s_pairing}, kappa side "
                 f"{certificate.kappa_side}, numerator residue "
                 f"{certificate.num_residue} mod {p}",
             ),
         )
-    ]
+
+    return [run_check("akita-counterexample", {"p": p}, thunk)]
 
 
 _SIGN_NOTE = (

@@ -13,6 +13,15 @@ The primary algorithm expands the generating series with exact rational
 arithmetic.  ``bernoulli_recursive`` reaches the same numbers through the
 binomial recurrence and exists so that callers (the CLI and the acceptance
 suite) can cross-check the two routes against each other.
+
+Each route computes its table once per process and serves every smaller
+index as a prefix of it.  ``bernoulli(n)`` reads coefficient 2n of the
+cached expansion to the smallest power-of-two order >= 2n; the inverse
+series coefficients up to order m do not depend on the order requested,
+so a run up to n inverts about log2(2n) series instead of n.
+``bernoulli_recursive(n)`` extends one module-level list of signed B_j
+with the recurrence as far as index 2n.  The two routes share no
+arithmetic: the recurrence never touches ``series``.
 """
 
 from __future__ import annotations
@@ -92,20 +101,21 @@ def _series_coefficients(order: int) -> series.Coeffs:
     return tuple(g)
 
 
+def _span(order: int) -> int:
+    """Smallest power of two >= order: the expansion order that serves it."""
+    return 1 << max(order - 1, 0).bit_length()
+
+
 def bernoulli(n: int) -> Fraction:
     """B_n in the positive convention, read off the generating series."""
     if n < 1:
         raise ValueError("Bernoulli index starts at 1")
-    c = _series_coefficients(2 * n)[2 * n]
+    c = _series_coefficients(_span(2 * n))[2 * n]
     return (-1) ** (n - 1) * c * factorial(2 * n)
 
 
-def bernoulli_table(max_index: int) -> list[Fraction]:
-    """[B_1, ..., B_max_index] from a single series expansion."""
-    if max_index < 1:
-        raise ValueError("Bernoulli index starts at 1")
-    coeffs = _series_coefficients(2 * max_index)
-    return [(-1) ** (n - 1) * coeffs[2 * n] * factorial(2 * n) for n in range(1, max_index + 1)]
+#: Signed B_0, B_1, ... (B_1 = -1/2) from the binomial recurrence, grown on demand.
+_recurrence_table = [Fraction(1)]
 
 
 def bernoulli_recursive(n: int) -> Fraction:
@@ -114,25 +124,25 @@ def bernoulli_recursive(n: int) -> Fraction:
     if n < 1:
         raise ValueError("Bernoulli index starts at 1")
     m = 2 * n
-    b = [Fraction(0)] * (m + 1)
-    b[0] = Fraction(1)
-    for j in range(1, m + 1):
+    b = _recurrence_table
+    for j in range(len(b), m + 1):
         s = sum(comb(j + 1, i) * b[i] for i in range(j))
-        b[j] = -s / (j + 1)
+        b.append(-s / (j + 1))
     return (-1) ** (n - 1) * b[m]
 
 
 def generating_series_roundtrip(max_index: int) -> bool:
-    """Rebuild the series from B_1..B_max_index and compare coefficientwise.
+    """Rebuild the series from the recurrence's B_1..B_max_index and compare
+    it coefficientwise with the expansion.
 
     Checks the even coefficients and that every odd coefficient vanishes.
     """
     order = 2 * max_index
-    direct = _series_coefficients(order)
+    direct = _series_coefficients(_span(order))[: order + 1]
     rebuilt = [Fraction(0)] * (order + 1)
     rebuilt[0] = Fraction(1)
     for n in range(1, max_index + 1):
-        rebuilt[2 * n] = (-1) ** (n - 1) * bernoulli(n) / factorial(2 * n)
+        rebuilt[2 * n] = (-1) ** (n - 1) * bernoulli_recursive(n) / factorial(2 * n)
     return tuple(rebuilt) == direct
 
 

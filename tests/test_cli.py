@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from kverify import cli, exact
 from kverify.cli import (
     ERROR,
     FAIL,
@@ -21,6 +22,7 @@ from kverify.cli import (
     CheckReport,
     UsageError,
     cmd_akita,
+    cmd_bernoulli,
     cmd_bockstein,
     cmd_eigenvalue,
     cmd_series,
@@ -121,6 +123,38 @@ def test_error_row_exits_one(capsys):
     assert "lhs=" in out  # non-PASS table lines carry the comparison payload
 
 
+@pytest.mark.parametrize(
+    "setup,argv,check_name",
+    [
+        (
+            "denominator_valuation_check",
+            ["theorem-a", "--prime", "3", "--n-max", "2"],
+            "denominator-valuation",
+        ),
+        ("akita_counterexample", ["akita", "--prime", "5"], "akita-counterexample"),
+    ],
+)
+def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, check_name):
+    def broken(*args):
+        raise ArithmeticError("setup failed")
+
+    monkeypatch.setattr(cli, setup, broken)
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [row for row in json.loads(captured.out) if row["status"] == ERROR]
+    assert errors and {row["check_name"] for row in errors} == {check_name}
+    assert all(row["notes"][-1] == "ArithmeticError: setup failed" for row in errors)
+
+
+def test_bernoulli_suite_expands_few_series():
+    # a run up to n serves every index from power-of-two expansions
+    exact._series_coefficients.cache_clear()
+    del exact._recurrence_table[1:]
+    assert all(row.status == PASS for row in cmd_bernoulli(80))
+    assert exact._series_coefficients.cache_info().misses <= 8
+
+
 def test_config_driven_all(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [3], "n_max": 2, "truncation": 4}))
@@ -172,7 +206,6 @@ MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockst
 
 # Public names that an `all` run leaves uncalled, each with the reason it stays.
 ALLOWED_UNREACHED = {
-    "exact.bernoulli_table": "the shared Bernoulli table will serve the bernoulli rows",
     "kops.lambda_line": "acceptance gate 4 checks the transfer identities with it",
     "kops.rho_sum": "acceptance gate 4 checks the transfer identities with it",
 }

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from kverify import exact, series
 from kverify.exact import (
     INFINITE,
     ValuationCheck,
     bernoulli,
     bernoulli_recursive,
-    bernoulli_table,
     choose_k,
     denominator_valuation_check,
     frac_str,
@@ -59,18 +59,52 @@ def test_all_values_positive():
 
 
 def test_series_route_matches_recursive_route():
-    for n in range(1, 21):
+    for n in range(1, 101):
         assert bernoulli(n) == bernoulli_recursive(n)
 
 
-def test_table_matches_single_values():
-    table = bernoulli_table(12)
-    assert table == [bernoulli(n) for n in range(1, 13)]
+def _clear_tables():
+    exact._series_coefficients.cache_clear()
+    del exact._recurrence_table[1:]
+
+
+def test_tables_do_not_depend_on_request_order():
+    _clear_tables()
+    ascending = [(bernoulli(n), bernoulli_recursive(n)) for n in range(1, 101)]
+    _clear_tables()
+    top = (bernoulli(100), bernoulli_recursive(100))
+    rest = [(bernoulli(n), bernoulli_recursive(n)) for n in range(1, 100)]
+    assert rest + [top] == ascending
+
+
+def test_recurrence_never_inverts_a_series(monkeypatch):
+    expected = {n: bernoulli(n) for n in range(1, 41)}
+    assert FROZEN_BERNOULLI.items() <= expected.items()
+
+    def no_inversion(*args):
+        raise RuntimeError("series inverted")
+
+    _clear_tables()
+    monkeypatch.setattr(series, "inv", no_inversion)
+    with pytest.raises(RuntimeError):
+        bernoulli(1)
+    assert {n: bernoulli_recursive(n) for n in range(1, 41)} == expected
 
 
 def test_generating_series_roundtrip():
     # also certifies that every odd series coefficient vanishes
     assert generating_series_roundtrip(15)
+
+
+def test_roundtrip_sees_a_corrupted_recurrence():
+    assert generating_series_roundtrip(10)
+    saved = exact._recurrence_table[8]
+    exact._recurrence_table[8] += Fraction(1, 10**6)
+    try:
+        assert not generating_series_roundtrip(10)
+    finally:
+        exact._recurrence_table[8] = saved
+    assert generating_series_roundtrip(10)
 
 
 @pytest.mark.parametrize("n,pair", sorted(FROZEN_NUM_DENOM.items()))
@@ -114,11 +148,20 @@ def test_denominator_structure():
         assert num_denom(n)[1] == predicted, n
 
 
+def test_von_staudt_clausen_denominators():
+    """Integer-only oracle: Denom(B_n) is the product of the primes q with
+    (q - 1) | 2n."""
+    for n in range(1, 101):
+        predicted = 1
+        for q in _primes_up_to(2 * n + 1):
+            if (2 * n) % (q - 1) == 0:
+                predicted *= q
+        assert bernoulli(n).denominator == predicted, n
+
+
 def test_bad_indices_rejected():
     with pytest.raises(ValueError):
         bernoulli(0)
-    with pytest.raises(ValueError):
-        bernoulli_table(0)
     with pytest.raises(ValueError):
         num_denom(0)
 
