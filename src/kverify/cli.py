@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -308,8 +308,9 @@ def _artin_hasse_samples(truncation: int) -> list[tuple[str, KClass]]:
 def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
-    if truncation < 0:
-        raise UsageError("truncation must be nonnegative")
+    if truncation < 2:
+        # below 2 the samples u^2 and u+u^2 are zero or equal to u
+        raise UsageError("truncation must be at least 2")
     rows = []
     samples = _artin_hasse_samples(truncation)
     for label, x in samples:
@@ -394,45 +395,42 @@ def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[Che
         raise UsageError("max-deg must be at least deg")
     rows = []
     for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
-        model = build_model(kind, p, deg, max_deg)
-        report = verify_closed_form_pages(model, pages)
-        mismatches: dict[int, int] = {}
-        for page, degree, computed, predicted, match in report.rows:
-            mismatches.setdefault(page, 0)
-            if not match:
-                mismatches[page] += 1
-            if match and computed == 0 and predicted == 0:
-                continue  # sparse output: only nonzero or mismatching rows
-            rows.append(
-                run_check(
-                    "bockstein-page-dimension",
-                    {
-                        "p": p,
-                        "deg": deg,
-                        "kind": kind_label,
-                        "page": page,
-                        "degree": degree,
-                    },
-                    lambda computed=computed, predicted=predicted: (
-                        str(computed),
-                        str(predicted),
-                        (),
-                    ),
-                )
+        rows += _bockstein_kind_rows(kind, kind_label, p, deg, pages, max_deg)
+    return rows
+
+
+def _bockstein_kind_rows(
+    kind: ModelKind, kind_label: str, p: int, deg: int, pages: int, max_deg: int
+) -> list[CheckReport]:
+    """Summary and dimension rows of one model.  The first summary row
+    builds and verifies the model, so the page engine is timed inside it and
+    a raise is an ERROR row; the other rows read its report."""
+    params = {"p": p, "deg": deg, "kind": kind_label}
+    found = []
+
+    def summary(page):
+        if not found:
+            found.append(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
+        report = found[0]
+        notes = report.notes if page == 2 else ()
+        return f"{report.mismatches[page]} mismatches", "0 mismatches", notes
+
+    first = run_check("bockstein-page-summary", {**params, "page": 2}, lambda: summary(2))
+    if not found:
+        # the page engine raised: every summary row carries its error
+        return [replace(first, parameters={**params, "page": page}) for page in range(2, pages + 1)]
+    rows = [first] + [
+        run_check("bockstein-page-summary", {**params, "page": page}, lambda page=page: summary(page))
+        for page in range(3, pages + 1)
+    ]
+    for page, degree, computed, predicted in found[0].rows:
+        rows.append(
+            run_check(
+                "bockstein-page-dimension",
+                {**params, "page": page, "degree": degree},
+                lambda computed=computed, predicted=predicted: (str(computed), str(predicted), ()),
             )
-        for page in sorted(mismatches):
-            rows.append(
-                run_check(
-                    "bockstein-page-summary",
-                    {"p": p, "deg": deg, "kind": kind_label, "page": page},
-                    lambda page=page: (
-                        f"{mismatches[page]} mismatches",
-                        "0 mismatches",
-                        (),
-                    ),
-                    notes=report.notes if page == 2 else (),
-                )
-            )
+        )
     return rows
 
 
@@ -489,6 +487,8 @@ def cmd_all(config: dict) -> list[CheckReport]:
     primes = settings["primes"]
     if not isinstance(primes, (list, tuple)) or not primes or not all(map(_is_int, primes)):
         raise UsageError("configuration key 'primes' must be a non-empty list of integers")
+    if len(set(primes)) != len(primes):
+        raise UsageError("configuration key 'primes' must not repeat a prime")
     for p in primes:
         if not is_prime(p):
             raise UsageError(f"configured prime {p} is not prime")
@@ -522,16 +522,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from err
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kverify",
@@ -561,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_artin = sub.add_parser("artin-hasse", parents=[common])
     p_artin.add_argument("--prime", type=_positive_int, default=3)
-    p_artin.add_argument("--truncation", type=_nonnegative_int, default=DEFAULTS["truncation"])
+    p_artin.add_argument("--truncation", type=_positive_int, default=DEFAULTS["truncation"])
 
     p_bock = sub.add_parser("bockstein", parents=[common])
     p_bock.add_argument("--prime", type=_positive_int, default=3)

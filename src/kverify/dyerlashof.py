@@ -43,13 +43,6 @@ class LeadingHomologyClass:
         if not 0 <= self.coefficient < self.prime:
             raise ValueError("coefficient must be a reduced residue")
 
-    @property
-    def degree(self) -> int:
-        return 2 * self.generator_index
-
-    def is_zero_leading_term(self) -> bool:
-        return self.coefficient == 0
-
 
 def q_on_bu(j: int, n: int, p: int) -> LeadingHomologyClass:
     """Leading term of Q^j on the n-th standard generator:

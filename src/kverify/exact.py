@@ -67,10 +67,6 @@ class Valuation:
     prime: int
     value: int | float
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == INFINITE
-
 
 def _int_valuation(n: int, p: int) -> int:
     # n must be nonzero

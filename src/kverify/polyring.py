@@ -192,11 +192,6 @@ class KClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, i: int) -> Fraction:
-        if not 0 <= i <= self.truncation:
-            raise IndexError(f"coefficient u^{i} outside truncation {self.truncation}")
-        return self.coeffs[i]
-
     def with_claim(self, claim: Claim) -> "KClass":
         """Re-house the same element under another (validated) claim."""
         return KClass(self.coeffs, self.truncation, claim)
@@ -229,11 +224,6 @@ class KClass:
     def __sub__(self, other):
         if isinstance(other, (KClass, int, Fraction)):
             return self + (-other if isinstance(other, KClass) else -Fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + Fraction(other)
         return NotImplemented
 
     def __mul__(self, other):
@@ -333,9 +323,6 @@ class SuspensionClass:
     def truncation(self) -> int:
         return self.base.truncation
 
-    def is_zero(self) -> bool:
-        return self.base.is_zero()
-
     def __add__(self, other):
         if isinstance(other, SuspensionClass):
             return SuspensionClass(self.base + other.base)
@@ -357,14 +344,6 @@ class SuspensionClass:
         if n == 1:
             return self
         return SuspensionClass.zero(self.truncation, self.base.claim)
-
-    def __eq__(self, other):
-        if isinstance(other, SuspensionClass):
-            return self.base == other.base
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("susp", self.base))
 
     def __repr__(self):
         return f"SuspensionClass({self.base!r})"

@@ -7,6 +7,7 @@ that count is the oracle the row-reduction route is measured against.
 
 import pytest
 
+from kverify import bockstein
 from kverify.bockstein import (
     ModelDGA,
     ModelKind,
@@ -86,7 +87,7 @@ def test_first_page_homology_against_congruence_oracle(p, deg):
     (page,) = compute_page(model, 1)
     dims = page_homology_dims(page, bound - 1)
     for degree in range(bound):
-        assert dims[degree] == _survivor_oracle(p, deg, degree), (p, deg, degree)
+        assert dims.get(degree, 0) == _survivor_oracle(p, deg, degree), (p, deg, degree)
 
 
 def test_variant_exterior_exponent_is_wrong():
@@ -137,8 +138,8 @@ def test_closed_form_pages_verify(p, deg):
     bound = 2 * deg * p**2 + deg
     model = build_model(ModelKind.TYPE1, p, deg, bound)
     report = verify_closed_form_pages(model, 3)
-    assert report.passed
-    assert all(row[4] for row in report.rows)
+    assert report.mismatches == {2: 0, 3: 0}
+    assert all(computed == predicted for _, _, computed, predicted in report.rows)
     pages = {row[0] for row in report.rows}
     assert pages == {2, 3}
     assert report.notes
@@ -149,12 +150,43 @@ def test_type2_collapses_to_one_class():
     pages = compute_page(model, 3)
     dims = page_homology_dims(pages[0], 23)
     assert dims[0] == 1
-    assert all(dims[d] == 0 for d in range(1, 24))
+    assert all(dims.get(d, 0) == 0 for d in range(1, 24))
     for page in pages[1:]:
         assert page.monomials == {0: (Monomial(0, False),)}
         assert page.matrices == {}
     report = verify_closed_form_pages(model, 3)
-    assert report.passed
+    assert report.mismatches == {2: 0, 3: 0}
+    assert report.rows == ((2, 0, 1, 1), (3, 0, 1, 1))
+
+
+def test_each_block_is_row_reduced_once(monkeypatch):
+    # a block's rank serves both the degree it leaves and the one it enters
+    model = build_model(ModelKind.TYPE1, 3, 4, 60)
+    (page,) = compute_page(model, 1)
+    seen = []
+
+    def counting_rank(matrix, p):
+        seen.append(matrix)
+        return rank_mod_p(matrix, p)
+
+    monkeypatch.setattr(bockstein, "rank_mod_p", counting_rank)
+    dims = page_homology_dims(page, 59)
+    assert len(seen) == sum(degree <= 60 for degree in page.matrices)
+    # only the degrees that carry a monomial appear
+    assert set(dims) == set(page.monomials) - {60}
+
+
+def test_report_keeps_only_nonzero_degrees_and_counts_mismatches(monkeypatch):
+    model = build_model(ModelKind.TYPE1, 3, 2, 60)
+    report = verify_closed_form_pages(model, 3)
+    assert all(computed or predicted for _, _, computed, predicted in report.rows)
+    # rank zero everywhere leaves every chain a cycle and no boundary, so the
+    # computed side outgrows the closed form wherever a monomial dies
+    monkeypatch.setattr(bockstein, "rank_mod_p", lambda matrix, p: 0)
+    broken = verify_closed_form_pages(model, 3)
+    for page in (2, 3):
+        wrong = [row for row in broken.rows if row[0] == page and row[2] != row[3]]
+        assert broken.mismatches[page] == len(wrong) > 0
 
 
 def test_verify_needs_two_pages():

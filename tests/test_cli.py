@@ -22,6 +22,7 @@ from kverify.cli import (
     CheckReport,
     UsageError,
     cmd_akita,
+    cmd_artin_hasse,
     cmd_bernoulli,
     cmd_bockstein,
     cmd_eigenvalue,
@@ -92,6 +93,10 @@ def test_suite_usage_errors():
         cmd_eigenvalue(3, 2, 3, 8)
     with pytest.raises(UsageError):
         cmd_eigenvalue(3, 2, 1, 8)
+    # at truncation 0 or 1 the samples u^2 and u+u^2 are zero or u
+    for truncation in (0, 1):
+        with pytest.raises(UsageError):
+            cmd_artin_hasse(3, truncation)
 
 
 # -- exit codes through main ------------------------------------------------
@@ -106,11 +111,20 @@ def test_green_commands_exit_zero(capsys):
     capsys.readouterr()
 
 
-def test_usage_problems_exit_two(capsys):
+def test_usage_problems_exit_two(capsys, tmp_path):
     assert main(["akita", "--prime", "2"]) == 2
     assert main(["all", "--config", "/no/such/file.json"]) == 2
+    assert main(["artin-hasse", "--truncation", "1"]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [3], "truncation": 1}))
+    assert main(["all", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "truncation must be at least 2" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["artin-hasse", "--truncation", "0"])
+    assert exit_info.value.code == 2
+    assert "is not positive" in capsys.readouterr().err
 
 
 def test_error_row_exits_one(capsys):
@@ -132,6 +146,11 @@ def test_error_row_exits_one(capsys):
             "denominator-valuation",
         ),
         ("akita_counterexample", ["akita", "--prime", "5"], "akita-counterexample"),
+        (
+            "verify_closed_form_pages",
+            ["bockstein", "--prime", "3", "--max-deg", "60"],
+            "bockstein-page-summary",
+        ),
     ],
 )
 def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, check_name):
@@ -189,6 +208,7 @@ def test_config_driven_all(tmp_path, capsys):
         {"primes": [True]},
         {"prime": 3.0},
         {"primes": [3], "n_max": 2, "prime": 5},
+        {"primes": [3, 3]},
     ],
 )
 def test_config_values_are_type_checked(tmp_path, capsys, config):
@@ -208,12 +228,20 @@ MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockst
 ALLOWED_UNREACHED = {
     "kops.lambda_line": "acceptance gate 4 checks the transfer identities with it",
     "kops.rho_sum": "acceptance gate 4 checks the transfer identities with it",
+    "polyring.Claim.label": "runs only while building an error message",
+    "polyring.KClass.__eq__": "tests compare ring values; report rows compare strings",
+    "polyring.KClass.__hash__": "kept consistent with __eq__, which tests call",
+    "polyring.KClass.__repr__": "only test failure messages and debugging print classes",
+    "polyring.SuspensionClass.__repr__": "only test failure messages and debugging print classes",
 }
 
 
 def _public_entry_points():
-    """(name, code objects) for each public function of the modules, and for
-    each public non-exception class with its own __init__ or __post_init__."""
+    """(name, code objects) for each public function of the modules; for
+    each public non-exception class with its own __init__ or __post_init__;
+    and for each public method, property or dunder written in such a class's
+    body.  Methods that the dataclass, NamedTuple and Enum machinery
+    generate have no code in the module's file and are left out."""
     for module_name in MODULES:
         module = importlib.import_module(f"kverify.{module_name}")
         for name, obj in vars(module).items():
@@ -229,6 +257,17 @@ def _public_entry_points():
                 }
                 if hooks:
                     yield f"{module_name}.{name}", hooks
+                for attr, member in vars(obj).items():
+                    fn = member.fget if isinstance(member, property) else member
+                    fn = getattr(fn, "__func__", fn)  # classmethod, staticmethod
+                    private = attr.startswith("_") and not attr.endswith("__")
+                    if (
+                        inspect.isfunction(fn)
+                        and fn.__code__.co_filename == module.__file__
+                        and fn.__code__ not in hooks
+                        and not private
+                    ):
+                        yield f"{module_name}.{name}.{attr}", {fn.__code__}
 
 
 def test_all_run_reaches_every_public_entry_point(tmp_path, capsys):
@@ -288,19 +327,36 @@ def test_json_byte_stable_apart_from_timing(capsys):
     assert normalized() == normalized()
 
 
-# Default `all --json` captured before the s-number and psi rewrites, with
-# every elapsed_ms set to 0.  A refactor must reproduce it byte for byte.
-GOLDEN_ALL_SHA256 = "290095794a7f776b58a6e9675d32e0fccf1ad9391f9daaa6f4e3a1ba36f7d5b6"
-GOLDEN_ALL_ROWS = 666
-GOLDEN_ALL_BYTES = 178595
+# Normalised JSON output (every elapsed_ms set to 0) captured before a
+# refactor, which must reproduce it byte for byte: argv, sha256, rows, bytes.
+# The default `all` was captured before the s-number and psi rewrites; the
+# bockstein run covers page 4 and an even generator of degree 4, which the
+# default `all` does not reach.
+GOLDEN_OUTPUTS = [
+    (
+        ["all", "--json"],
+        "290095794a7f776b58a6e9675d32e0fccf1ad9391f9daaa6f4e3a1ba36f7d5b6",
+        666,
+        178595,
+    ),
+    (
+        ["bockstein", "--prime", "5", "--deg", "4", "--pages", "4", "--json"],
+        "020379bd2a59be5da6da218da43bef9bb0a5d6f1daf32e03645655d82ce3e17e",
+        133,
+        35338,
+    ),
+]
 
 
-def test_all_json_matches_golden(capsys):
-    assert main(["all", "--json"]) == 0
+@pytest.mark.parametrize(
+    "argv,sha256,rows,size", GOLDEN_OUTPUTS, ids=["all", "bockstein-p5-deg4-pages4"]
+)
+def test_all_json_matches_golden(capsys, argv, sha256, rows, size):
+    assert main(argv) == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
-    assert len(json.loads(text)) == GOLDEN_ALL_ROWS
-    assert len(text.encode()) == GOLDEN_ALL_BYTES
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ALL_SHA256
+    assert len(json.loads(text)) == rows
+    assert len(text.encode()) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_json_keys_are_sorted_in_output(capsys):

@@ -178,7 +178,7 @@ def test_vp_basics():
 
 def test_vp_zero_is_infinite():
     v = vp(0, 7)
-    assert v.is_infinite and v.value == INFINITE
+    assert v.value == INFINITE
 
 
 def test_vp_needs_prime():
