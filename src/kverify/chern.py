@@ -13,6 +13,14 @@ to m! [e^m] ch, and that integer counts the surjections from an m-set onto
 a j-set.  It vanishes for j > m, so s_m(f) is the dot product of c_0..c_m
 with one cached row of integers.  ch itself serves the series identities.
 
+The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
+r^k(conjugate line - 1), a series inversion over KClass.  That class does
+not depend on the prime, so it is built once per (k, truncation) and kept
+for the life of the process.  The key is the exact truncation, never a
+shared prefix: eigenvalue-truncation-stable compares the default window
+2n + 2 against a wider one (at least 2n + 3), and keyed this way the two
+sides are always two separate inversions, so the row can still fail.
+
 The series checks at the bottom pin the two classical identities tying the
 multiplicative series (exp(x) - 1)/x to the positive even Bernoulli numbers
 and to the Adams-averaged line class.  Both are verified coefficient by
@@ -154,6 +162,12 @@ def eigenvalue_closed_form(k: int, n: int) -> Fraction:
     return Fraction((-1) ** (n - 1)) * (Fraction(k) ** (2 * n) - 1) * bernoulli(n) / (2 * n)
 
 
+@lru_cache(maxsize=None)
+def _conjugate_average(k: int, truncation: int) -> KClass:
+    """r^k(conjugate line - 1) at exactly this truncation, built once."""
+    return r_virtual_conjugate_minus_one(k, truncation)
+
+
 def rk_eigenvalue(p: int, k: int, n: int, truncation: int | None = None) -> Fraction:
     """Eigenvalue of the conjugate-average class on the (2n-1)-st s-number,
     computed through the series route only.
@@ -170,7 +184,7 @@ def rk_eigenvalue(p: int, k: int, n: int, truncation: int | None = None) -> Frac
     m = 2 * n - 1
     if truncation < m:
         raise ValueError(f"truncation {truncation} too small for s_{m}")
-    numerator = s_eval(m, r_virtual_conjugate_minus_one(k, truncation))
+    numerator = s_eval(m, _conjugate_average(k, truncation))
     denominator = s_eval(m, line_power(-1, truncation) - 1)
     if denominator != (-1) ** m:
         raise ArithmeticError(

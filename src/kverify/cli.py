@@ -178,8 +178,9 @@ def _eigenvalue_k(p: int, n_max: int, k: int | None) -> int:
         raise UsageError("n-max must be at least 1")
     if k is None:
         k = choose_k(p)
-    if k < 2 or gcd(k, p) != 1:
-        raise UsageError(f"k = {k} must be at least 2 and coprime to p = {p}")
+    if k < 3 or k % 2 == 0 or gcd(k, p) != 1:
+        # the conjugate-average class subtracts (k - 1)/2, so k must be odd
+        raise UsageError(f"k = {k} must be odd, at least 3 and coprime to p = {p}")
     return k
 
 

@@ -188,7 +188,6 @@ class ValuationCheck:
     k: int
     lhs_valuation: int
     rhs_valuation: int
-    passed: bool
     note: str
 
 
@@ -210,4 +209,4 @@ def denominator_valuation_check(p: int, n: int) -> ValuationCheck:
     else:
         rhs = _int_valuation(denom, p)
         note = ""
-    return ValuationCheck(p, n, k, lhs, rhs, lhs == rhs, note)
+    return ValuationCheck(p, n, k, lhs, rhs, note)

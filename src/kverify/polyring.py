@@ -6,7 +6,10 @@ together with a domain claim: a validated statement about where those
 coefficients live (integers, p-local integers, integers with k inverted, or
 plain rationals).  Claims are predicates re-checked against the actual
 coefficients on every construction; they are bookkeeping, never a change of
-representation.
+representation.  Each coefficient is coerced to Fraction once, in
+series.fit, which passes a Fraction through untouched, so the results of
+the series kernels are not coerced again.  The claim check is never
+skipped: it runs on every coefficient of every construction.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -79,7 +82,8 @@ class Claim:
             raise ValueError(f"unknown claim kind {self.kind!r}")
 
     def admits(self, q: Fraction) -> bool:
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if self.kind == "integral":
             return q.denominator == 1
         if self.kind == "p-local":
@@ -153,7 +157,6 @@ class KClass:
     __slots__ = ("truncation", "coeffs", "claim")
 
     def __init__(self, coeffs, truncation: int | None = None, claim: Claim = RATIONAL):
-        coeffs = [Fraction(c) for c in coeffs]
         if truncation is None:
             truncation = max(len(coeffs) - 1, 0)
         if truncation < 0:

@@ -4,6 +4,9 @@ A series of order d is a tuple of d + 1 Fractions, constant term first.
 Nothing here knows about K-theory; these are the shared arithmetic kernels
 for the Bernoulli expansion, the truncated polynomial ring and the Chern
 character module.
+
+fit is where other numbers become Fractions.  It passes a value that is a
+Fraction already through untouched, so each coefficient is coerced once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ _ZERO = Fraction(0)
 
 def fit(coeffs: Iterable[Fraction | int], order: int) -> Coeffs:
     """Pad with zeros, or drop terms above the order (reduction mod x^(order+1))."""
-    out = [Fraction(c) for c in coeffs][: order + 1]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs][: order + 1]
     out.extend([_ZERO] * (order + 1 - len(out)))
     return tuple(out)
 
@@ -54,7 +57,8 @@ def mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Coeffs:
 
 def inv(a: Sequence[Fraction], order: int) -> Coeffs:
     """Multiplicative inverse; the constant term must be nonzero."""
-    c = Fraction(a[0])
+    a = fit(a, len(a) - 1)
+    c = a[0]
     if c == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
     out = [_ZERO] * (order + 1)
@@ -62,7 +66,7 @@ def inv(a: Sequence[Fraction], order: int) -> Coeffs:
     for m in range(1, order + 1):
         s = _ZERO
         for j in range(1, min(m, len(a) - 1) + 1):
-            s += Fraction(a[j]) * out[m - j]
+            s += a[j] * out[m - j]
         out[m] = -s / c
     return tuple(out)
 
@@ -82,7 +86,7 @@ def log1(a: Sequence[Fraction], order: int) -> Coeffs:
     """log of a series with constant term 1."""
     if a[0] != 1:
         raise ValueError("log needs constant term 1")
-    w = fit([0] + [Fraction(c) for c in a[1:]], order)
+    w = fit([0, *a[1:]], order)
     out = [_ZERO] * (order + 1)
     wpow = fit([1], order)
     for m in range(1, order + 1):

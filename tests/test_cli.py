@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kverify import cli, exact
+from kverify import chern, cli, exact, series
 from kverify.cli import (
     ERROR,
     FAIL,
@@ -32,6 +32,7 @@ from kverify.cli import (
     run_check,
     sort_reports,
 )
+from kverify.polyring import KClass
 
 ROW_KEYS = {"check_name", "elapsed_ms", "lhs", "notes", "parameters", "rhs", "status"}
 
@@ -93,6 +94,11 @@ def test_suite_usage_errors():
         cmd_eigenvalue(3, 2, 3, 8)
     with pytest.raises(UsageError):
         cmd_eigenvalue(3, 2, 1, 8)
+    # the conjugate-average class subtracts (k - 1)/2, so k must be odd
+    with pytest.raises(UsageError):
+        cmd_theorem_a(3, 2, 4)
+    with pytest.raises(UsageError):
+        cmd_eigenvalue(3, 2, 4, 8)
     # at truncation 0 or 1 the samples u^2 and u+u^2 are zero or u
     for truncation in (0, 1):
         with pytest.raises(UsageError):
@@ -115,6 +121,7 @@ def test_usage_problems_exit_two(capsys, tmp_path):
     assert main(["akita", "--prime", "2"]) == 2
     assert main(["all", "--config", "/no/such/file.json"]) == 2
     assert main(["artin-hasse", "--truncation", "1"]) == 2
+    assert main(["theorem-a", "--prime", "3", "--k", "4"]) == 2
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [3], "truncation": 1}))
     assert main(["all", "--config", str(config)]) == 2
@@ -127,10 +134,13 @@ def test_usage_problems_exit_two(capsys, tmp_path):
     assert "is not positive" in capsys.readouterr().err
 
 
-def test_error_row_exits_one(capsys):
-    # even k passes the coprimality gate but the average class needs odd k,
-    # so the row itself errors and the run reports a red result
-    code = main(["theorem-a", "--prime", "3", "--k", "4", "--n-max", "1"])
+def test_error_row_exits_one(monkeypatch, capsys):
+    # a computation that raises inside a row is an ERROR row and a red run
+    def broken(*args, **kwargs):
+        raise ArithmeticError("series route failed")
+
+    monkeypatch.setattr(cli, "rk_eigenvalue", broken)
+    code = main(["theorem-a", "--prime", "3", "--n-max", "1"])
     assert code == 1
     out = capsys.readouterr().out
     assert "ERROR" in out
@@ -172,6 +182,66 @@ def test_bernoulli_suite_expands_few_series():
     del exact._recurrence_table[1:]
     assert all(row.status == PASS for row in cmd_bernoulli(80))
     assert exact._series_coefficients.cache_info().misses <= 8
+
+
+@pytest.fixture
+def fresh_conjugate_average():
+    chern._conjugate_average.cache_clear()
+    yield
+    chern._conjugate_average.cache_clear()
+
+
+def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_average):
+    # the class r^k(conjugate line - 1) does not depend on p, so the three
+    # primes (all with k = 3) share one inversion per exact truncation
+    n_max, truncation = 3, 8
+
+    def suites():
+        rows = []
+        for p in (2, 5, 7):
+            rows += cmd_theorem_a(p, n_max) + cmd_eigenvalue(p, n_max, None, truncation)
+        return rows
+
+    assert all(row.status == PASS for row in suites())  # fills the Bernoulli tables
+    chern._conjugate_average.cache_clear()
+    calls = []
+    inv = series.inv
+
+    def counting_inv(a, order):
+        calls.append(order)
+        return inv(a, order)
+
+    monkeypatch.setattr(series, "inv", counting_inv)
+    assert all(row.status == PASS for row in suites())
+    keys = {exact.choose_k(p) for p in (2, 5, 7)}
+    assert keys == {3}
+    windows = {2 * n + 2 for n in range(1, n_max + 1)}
+    windows |= {max(truncation, 2 * n + 3) for n in range(1, n_max + 1)}
+    assert sorted(calls) == sorted(windows)
+
+
+def test_truncation_stable_row_compares_separate_inversions(
+    monkeypatch, fresh_conjugate_average
+):
+    # one coefficient off in the class cached at the default window 2n + 2
+    # must show in both rows of that n: the wide side is its own inversion
+    n = 2
+    m = 2 * n - 1
+    build = chern.r_virtual_conjugate_minus_one
+
+    def corrupted(k, truncation):
+        f = build(k, truncation)
+        if truncation != 2 * n + 2:
+            return f
+        coeffs = list(f.coeffs)
+        coeffs[m] += 1
+        return KClass(coeffs, truncation, f.claim)
+
+    monkeypatch.setattr(chern, "r_virtual_conjugate_minus_one", corrupted)
+    rows = cmd_eigenvalue(3, 3, None, 8)
+    failed = {(row.check_name, row.parameters["n"]) for row in rows if row.status != PASS}
+    assert failed == {("eigenvalue-closed-form", n), ("eigenvalue-truncation-stable", n)}
+    assert all(row.status in (PASS, FAIL) for row in rows)
 
 
 def test_config_driven_all(tmp_path, capsys):
@@ -328,30 +398,47 @@ def test_json_byte_stable_apart_from_timing(capsys):
 
 
 # Normalised JSON output (every elapsed_ms set to 0) captured before a
-# refactor, which must reproduce it byte for byte: argv, sha256, rows, bytes.
+# refactor, which must reproduce it byte for byte: argv, `all --config` body
+# (written to a file whose path is appended), sha256, rows, bytes.
 # The default `all` was captured before the s-number and psi rewrites; the
 # bockstein run covers page 4 and an even generator of degree 4, which the
-# default `all` does not reach.
+# default `all` does not reach; the deep sweep, captured before the
+# eigenvalue classes were cached, runs every eigenvalue row to n = 14.
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
+        None,
         "290095794a7f776b58a6e9675d32e0fccf1ad9391f9daaa6f4e3a1ba36f7d5b6",
         666,
         178595,
     ),
     (
         ["bockstein", "--prime", "5", "--deg", "4", "--pages", "4", "--json"],
+        None,
         "020379bd2a59be5da6da218da43bef9bb0a5d6f1daf32e03645655d82ce3e17e",
         133,
         35338,
+    ),
+    (
+        ["all", "--json"],
+        {"n_max": 14, "truncation": 16},
+        "99249f5bd7c21d7abed50825bdb10c1132f2dcac8729b46d99d9a8577c0e8bc7",
+        874,
+        236496,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,sha256,rows,size", GOLDEN_OUTPUTS, ids=["all", "bockstein-p5-deg4-pages4"]
+    "argv,config,sha256,rows,size",
+    GOLDEN_OUTPUTS,
+    ids=["all", "bockstein-p5-deg4-pages4", "all-config-n14-t16"],
 )
-def test_all_json_matches_golden(capsys, argv, sha256, rows, size):
+def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
     assert main(argv) == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
     assert len(json.loads(text)) == rows

@@ -158,6 +158,25 @@ def test_claim_validation_on_construction():
         KClass([Fraction(1, 2)], 1, INTEGRAL).with_claim(INTEGRAL)
 
 
+def test_coefficients_are_coerced_once_and_still_checked():
+    # ints and bools become Fractions, Fractions pass through unchanged, and
+    # a Fraction coefficient still meets the claim check like any other
+    half = Fraction(1, 2)
+    f = KClass([1, True, half, False], 5, RATIONAL)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert f.coeffs == (1, 1, half, 0, 0, 0)
+    assert f.coeffs[2] is half
+    assert all(type(c) is Fraction for c in KClass.constant(3, 2).coeffs)
+    assert all(type(c) is Fraction for c in (line_power(-1, 4) * 2).coeffs)
+    with pytest.raises(DomainClaimError):
+        KClass([1, True, half], 3, INTEGRAL)
+    with pytest.raises(DomainClaimError):
+        KClass([2, 0, Fraction(1, 3), 5], 3, p_local(3))
+    with pytest.raises(DomainClaimError):
+        (KClass([1, 2], 2, INTEGRAL) * half).with_claim(INTEGRAL)
+    assert INTEGRAL.admits(True) and not INTEGRAL.admits(half)
+
+
 def test_claim_constructor_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Claim("integral", 3)
