@@ -13,6 +13,12 @@ each with its basis and the block of the differential leaving it, and
 every loop here visits only those degrees.  A degree without a monomial
 has no chains, so its homology is zero without any computation.
 
+A page has many degrees but few distinct blocks (about p on the first
+page, one per coefficient of d(y^a) mod p), so equal blocks within a page
+are one shared tuple, and d*d = 0 is checked once per distinct pair of
+adjacent blocks.  Sharing saves building and checking, not row reduction:
+the homology still row-reduces every block of every degree once.
+
 The expected answer for TYPE1 is the closed-form page
 P{y^(p^r)} (x) E{y^(p^r - 1) x} with d(y^(p^r)) = y^(p^r - 1) x, and for
 TYPE2 a single class in degree zero from page two on.  The verifier
@@ -59,12 +65,6 @@ class ModelDGA:
             return self.deg_even_gen - 1
         return self.deg_even_gen + 1
 
-    def monomial_degree(self, m: Monomial) -> int:
-        degree = self.deg_even_gen * m.power
-        if m.aux:
-            degree += self.aux_degree
-        return degree
-
 
 def build_model(kind: ModelKind, p: int, deg: int, max_degree: int) -> ModelDGA:
     if not is_prime(p) or p == 2:
@@ -84,7 +84,8 @@ class PageBasis:
     basis, and no other degree appears; matrices maps each such nonzero
     degree d to the block of d^r from degree d to degree d - 1 (rows
     indexed by the target basis, columns by the source basis), entries
-    reduced mod p.
+    reduced mod p.  Blocks are immutable, and equal blocks of one page are
+    the same object.
     """
 
     page_index: int
@@ -94,31 +95,29 @@ class PageBasis:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Row rank over F_p by Gaussian elimination."""
-    rows = [list(row) for row in matrix]
+    """Row rank over F_p by Gaussian elimination to row echelon form."""
+    rows = [[entry % p for entry in row] for row in matrix]
     if not rows or not rows[0]:
         return 0
-    ncols = len(rows[0])
+    nrows = len(rows)
     rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] % p != 0), None
-        )
-        if pivot is None:
-            col += 1
+    for col in range(len(rows[0])):
+        pivot = rank
+        while pivot < nrows and not rows[pivot][col]:
+            pivot += 1
+        if pivot == nrows:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inverse = pow(rows[rank][col] % p, -1, p)
-        rows[rank] = [(entry * inverse) % p for entry in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p != 0:
-                factor = rows[r][col] % p
-                rows[r] = [
-                    (a - factor * b) % p for a, b in zip(rows[r], rows[rank])
-                ]
+        pivot_row = rows[pivot]
+        rows[pivot] = rows[rank]
+        rows[rank] = pivot_row
+        inverse = pow(pivot_row[col], -1, p)
+        for r in range(rank + 1, nrows):
+            factor = rows[r][col] * inverse % p
+            if factor:
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], pivot_row)]
         rank += 1
-        col += 1
+        if rank == nrows:
+            break
     return rank
 
 
@@ -127,35 +126,26 @@ def _page_monomials(model: ModelDGA, page_index: int) -> dict[int, tuple[Monomia
 
     TYPE1 page r: powers of y^step and their products with y^(step-1) x,
     where step = p^(r-1); at r = 1 that is every monomial, so one builder
-    serves both the raw start page and the closed-form later pages.
+    serves both the raw start page and the closed-form later pages.  Each
+    family is an arithmetic progression of powers.  The even generator has
+    even degree and the auxiliary one odd degree, so the two families never
+    share a degree and every degree carries at most one monomial.
     """
-    out: dict[int, list[Monomial]] = {}
-
-    def put(m: Monomial) -> bool:
-        degree = model.monomial_degree(m)
-        if degree > model.max_degree:
-            return False
-        out.setdefault(degree, []).append(m)
-        return True
-
     if model.kind is ModelKind.TYPE2:
         if page_index >= 2:
             return {0: (Monomial(0, False),)}
-        a = 0
-        while put(Monomial(a, False)):
-            a += 1
-        a = 0
-        while put(Monomial(a, True)):
-            a += 1
+        step, first_aux_power = 1, 0
     else:
         step = model.p ** (page_index - 1)
-        a = 0
-        while put(Monomial(step * a, False)):
-            a += 1
-        a = 0
-        while put(Monomial(step * a + step - 1, True)):
-            a += 1
-    return {degree: tuple(mons) for degree, mons in sorted(out.items())}
+        first_aux_power = step - 1
+    deg = model.deg_even_gen
+    out = {}
+    for first, aux, offset in ((0, False, 0), (first_aux_power, True, model.aux_degree)):
+        top = (model.max_degree - offset) // deg
+        out.update(
+            {deg * power + offset: (Monomial(power, aux),) for power in range(first, top + 1, step)}
+        )
+    return {degree: out[degree] for degree in sorted(out)}
 
 
 def _page_matrices(
@@ -168,53 +158,63 @@ def _page_matrices(
     aux monomials (their would-be image carries the square of an odd
     generator).  TYPE2 page 1 sends z y^a to y^(a+1); later TYPE2 pages
     are zero.
+
+    A block is fixed by its shape and its nonzero entries, and a page has
+    only about p distinct ones, so each is built once and every degree
+    with the same key holds the same tuple object.
     """
     p = model.p
-
-    def image(m: Monomial) -> tuple[int, Monomial] | None:
-        if model.kind is ModelKind.TYPE2:
-            if page_index >= 2 or not m.aux:
-                return None
-            return 1, Monomial(m.power + 1, False)
-        step = p ** (page_index - 1)
-        if m.aux:
-            return None
-        a = m.power // step
-        if a == 0:
-            return None
-        return a % p, Monomial(m.power - 1, True)
-
+    type1 = model.kind is ModelKind.TYPE1
+    step = p ** (page_index - 1)
+    blocks: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
     for degree, basis in monomials.items():
         if degree == 0:
             continue
         target = monomials.get(degree - 1, ())
-        rows = [[0] * len(basis) for _ in target]
-        for col, m in enumerate(basis):
-            hit = image(m)
-            if hit is None:
-                continue
-            coefficient, target_monomial = hit
-            if coefficient % p == 0:
-                continue
-            row = target.index(target_monomial)
-            rows[row][col] = coefficient % p
-        matrices[degree] = tuple(tuple(row) for row in rows)
+        entries = []
+        for col, (power, aux) in enumerate(basis):
+            if type1:
+                if aux or power < step:
+                    continue
+                coefficient = power // step % p
+                image = (power - 1, True)
+            else:
+                if page_index >= 2 or not aux:
+                    continue
+                coefficient = 1
+                image = (power + 1, False)
+            if coefficient:
+                # a Monomial equals its plain (power, aux) tuple; index
+                # raises when the image is not in the basis below
+                entries.append((target.index(image), col, coefficient))
+        key = (len(target), len(basis), tuple(entries))
+        block = blocks.get(key)
+        if block is None:
+            rows = [[0] * len(basis) for _ in target]
+            for row, col, coefficient in entries:
+                rows[row][col] = coefficient
+            block = blocks[key] = tuple(map(tuple, rows))
+        matrices[degree] = block
     return matrices
 
 
 def _check_dd_zero(page: PageBasis) -> None:
-    # 1-step composite must vanish mod p; cheap because bases are tiny
+    """Raise at the first degree where d * d is nonzero mod p.  Blocks are
+    immutable, so each distinct (outgoing, incoming) pair is multiplied
+    once; a pair that fails fails first at its first degree."""
+    checked = set()
     for degree, outgoing in page.matrices.items():
         incoming = page.matrices.get(degree + 1)
-        if incoming is None or not outgoing or not incoming:
+        if not outgoing or not incoming:
             continue
-        for row in range(len(outgoing)):
-            for col in range(len(incoming[0]) if incoming else 0):
-                total = sum(
-                    outgoing[row][mid] * incoming[mid][col]
-                    for mid in range(len(incoming))
-                )
+        pair = (id(outgoing), id(incoming))
+        if pair in checked:
+            continue
+        checked.add(pair)
+        for row in outgoing:
+            for col in range(len(incoming[0])):
+                total = sum(entry * incoming[mid][col] for mid, entry in enumerate(row))
                 if total % page.prime != 0:
                     raise ArithmeticError(
                         f"differential does not square to zero at degree "

@@ -65,8 +65,33 @@ DEFAULTS = {
 }
 
 
+# Ceilings on the inputs whose cost grows without bound, checked before any
+# primality test or suite runs: is_prime is trial division, the akita
+# certificate needs B_p (about 3 s at p = 199), r_line_conjugate sums k line
+# powers, and the page engine visits every degree up to its bound.  Each
+# sits above every documented use (prime 31 and degree bound 119,164 in
+# `bockstein --prime 31`).
+MAX_PRIME = 200
+MAX_K = 1000
+MAX_DEGREE_BOUND = 250_000
+
+
 class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
+
+
+def _check_prime_ceiling(p: int) -> None:
+    if p > MAX_PRIME:
+        raise UsageError(f"p = {p} is above the prime ceiling {MAX_PRIME}")
+
+
+def _degree_bound(p: int, deg: int, max_deg: int | None) -> int:
+    """The page engine's degree bound, 2 deg p^3 unless given, checked
+    against its ceiling."""
+    bound = 2 * deg * p**3 if max_deg is None else max_deg
+    if bound > MAX_DEGREE_BOUND:
+        raise UsageError(f"degree bound {bound} is above the ceiling {MAX_DEGREE_BOUND}")
+    return bound
 
 
 @dataclass
@@ -172,6 +197,9 @@ def cmd_bernoulli(n_max: int) -> list[CheckReport]:
 def _eigenvalue_k(p: int, n_max: int, k: int | None) -> int:
     """Check the arguments theorem-a and eigenvalue share and return k,
     chosen by choose_k(p) when not given."""
+    _check_prime_ceiling(p)
+    if k is not None and k > MAX_K:
+        raise UsageError(f"k = {k} is above the ceiling {MAX_K}")
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     if n_max < 1:
@@ -273,6 +301,7 @@ def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[C
 
 
 def cmd_akita(p: int) -> list[CheckReport]:
+    _check_prime_ceiling(p)
     if p == 2 or not is_prime(p):
         raise UsageError("the counterexample certificate needs an odd prime")
 
@@ -307,6 +336,7 @@ def _artin_hasse_samples(truncation: int) -> list[tuple[str, KClass]]:
 
 
 def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
+    _check_prime_ceiling(p)
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     if truncation < 2:
@@ -384,14 +414,14 @@ def _log_closed_form_thunk(p: int, x: KClass):
 
 
 def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[CheckReport]:
+    _check_prime_ceiling(p)
+    max_deg = _degree_bound(p, deg, max_deg)
     if p == 2 or not is_prime(p):
         raise UsageError("the page engine needs an odd prime")
     if deg <= 0 or deg % 2 != 0:
         raise UsageError(f"deg = {deg} must be a positive even integer")
     if pages < 2:
         raise UsageError("pages must be at least 2")
-    if max_deg is None:
-        max_deg = 2 * deg * p**3
     if max_deg < deg:
         raise UsageError("max-deg must be at least deg")
     rows = []
@@ -491,8 +521,11 @@ def cmd_all(config: dict) -> list[CheckReport]:
     if len(set(primes)) != len(primes):
         raise UsageError("configuration key 'primes' must not repeat a prime")
     for p in primes:
+        _check_prime_ceiling(p)
         if not is_prime(p):
             raise UsageError(f"configured prime {p} is not prime")
+        if p != 2:
+            _degree_bound(p, settings["deg"], None)
     n_max = settings["n_max"]
     truncation = settings["truncation"]
     deg = settings["deg"]

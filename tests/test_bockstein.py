@@ -40,9 +40,12 @@ def test_generator_degrees():
     assert m1.aux_degree == 3
     m2 = build_model(ModelKind.TYPE2, 3, 4, 40)
     assert m2.aux_degree == 5
-    assert m1.monomial_degree(Monomial(2, False)) == 8
-    assert m1.monomial_degree(Monomial(2, True)) == 11
-    assert m2.monomial_degree(Monomial(2, True)) == 13
+    # y^a sits in degree deg * a, and the auxiliary generator adds its degree
+    page1 = compute_page(m1, 1)[0].monomials
+    page2 = compute_page(m2, 1)[0].monomials
+    assert page1[8] == (Monomial(2, False),)
+    assert page1[11] == (Monomial(2, True),)
+    assert page2[13] == (Monomial(2, True),)
 
 
 def test_rank_mod_p_frozen():
@@ -211,3 +214,128 @@ def test_dd_zero_guard_trips_on_forged_page():
     )
     with pytest.raises(ArithmeticError):
         _check_dd_zero(forged)
+
+
+def _dense_page(kind, p, deg, max_degree, r):
+    """Page r written straight from the derivation rule: list every
+    monomial of the algebra up to max_degree, keep those of the closed-form
+    page, and fill each block entry by entry from the image of its column."""
+    aux_degree = deg - 1 if kind is ModelKind.TYPE1 else deg + 1
+    step = p ** (r - 1)
+
+    def degree(m):
+        return deg * m.power + (aux_degree if m.aux else 0)
+
+    def on_page(m):
+        if kind is ModelKind.TYPE2:
+            return r == 1 or m == Monomial(0, False)
+        return m.power % step == (step - 1 if m.aux else 0)
+
+    def d(m):
+        # TYPE1: d(y^(step a)) = a y^(step a - 1) x, d(aux) = 0 as x^2 = 0;
+        # TYPE2 page 1: d(z y^a) = y^(a+1), later pages are zero
+        if kind is ModelKind.TYPE1:
+            a = m.power // step
+            return {} if m.aux or a == 0 else {Monomial(m.power - 1, True): a}
+        return {Monomial(m.power + 1, False): 1} if m.aux and r == 1 else {}
+
+    bases = {}
+    for power in range(max_degree + 1):
+        for aux in (False, True):
+            m = Monomial(power, aux)
+            if on_page(m) and degree(m) <= max_degree:
+                bases.setdefault(degree(m), []).append(m)
+    monomials = {dgr: tuple(bases[dgr]) for dgr in sorted(bases)}
+    matrices = {
+        dgr: tuple(
+            tuple(d(m).get(t, 0) % p for m in source) for t in monomials.get(dgr - 1, ())
+        )
+        for dgr, source in monomials.items()
+        if dgr != 0
+    }
+    return monomials, matrices
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("p,deg", [(3, 2), (3, 4), (5, 2), (7, 4)])
+def test_pages_match_dense_builder(kind, p, deg):
+    bound = 2 * deg * p**2 + deg
+    pages = compute_page(build_model(kind, p, deg, bound), 3)
+    for r, page in enumerate(pages, start=1):
+        monomials, matrices = _dense_page(kind, p, deg, bound, r)
+        assert list(page.monomials) == list(monomials), (r, "degrees")
+        assert page.monomials == monomials, r
+        assert list(page.matrices) == list(matrices), (r, "block degrees")
+        assert page.matrices == matrices, r
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_equal_blocks_of_a_page_are_one_object(kind):
+    p = 7
+    (page,) = compute_page(build_model(kind, p, 4, 2 * 4 * p**3), 1)
+    blocks = list(page.matrices.values())
+    by_content = {}
+    for block in blocks:
+        assert by_content.setdefault(block, block) is block
+    assert len({id(block) for block in blocks}) <= p + 1
+    assert len(blocks) > 100 * (p + 1)
+
+
+def test_image_outside_target_basis_raises():
+    # d(y) = x, but the forged basis one degree down holds y^5 x instead
+    model = build_model(ModelKind.TYPE1, 3, 2, 4)
+    forged = {0: (Monomial(0, False),), 1: (Monomial(5, True),), 2: (Monomial(1, False),)}
+    with pytest.raises(ValueError):
+        bockstein._page_matrices(model, 1, forged)
+
+
+def test_dd_zero_guard_names_first_failing_degree_of_a_repeated_pair():
+    from kverify.bockstein import _check_dd_zero
+
+    one, zero = ((1,),), ((0,),)
+    # the failing pair (one, one) composes at degrees 4, 5 and 6 (d from
+    # degree k + 1 to k - 1); the pairs before it vanish
+    matrices = {1: one, 2: zero, 3: one, 4: one, 5: one, 6: one}
+    forged = PageBasis(
+        page_index=2,
+        prime=5,
+        monomials={degree: (Monomial(degree, False),) for degree in range(7)},
+        matrices=matrices,
+    )
+    with pytest.raises(ArithmeticError, match=r"at degree 4 on page 2"):
+        _check_dd_zero(forged)
+    # the same pair repeated only from degree 5 on is named at degree 5
+    matrices[3] = zero
+    with pytest.raises(ArithmeticError, match=r"at degree 5 on page 2"):
+        _check_dd_zero(forged)
+
+
+def _span_rank(matrix, p):
+    """Rank over F_p from the size p^rank of the row space, by listing every
+    combination of the rows."""
+    rows = [tuple(entry % p for entry in row) for row in matrix]
+    width = len(rows[0]) if rows else 0
+    span = {(0,) * width}
+    for row in rows:
+        span |= {
+            tuple((a + c * b) % p for a, b in zip(vector, row))
+            for vector in span
+            for c in range(1, p)
+        }
+    rank = 0
+    while p**rank < len(span):
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rank_mod_p_matches_row_space_size(p):
+    import random
+
+    rng = random.Random(p)
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 3), rng.randint(1, 3)
+        matrix = tuple(tuple(rng.randint(-9, 9) for _ in range(ncols)) for _ in range(nrows))
+        if nrows >= 2 and rng.random() < 0.3:
+            matrix = matrix + (tuple(3 * entry for entry in matrix[0]),)
+        assert rank_mod_p(matrix, p) == _span_rank(matrix, p), matrix

@@ -134,6 +134,52 @@ def test_usage_problems_exit_two(capsys, tmp_path):
     assert "is not positive" in capsys.readouterr().err
 
 
+# Each argv exceeds one input ceiling.  Without the ceilings the huge primes
+# spend minutes in trial division (akita then in B_p), and `bockstein --prime
+# 211` would build 37.6M degrees.  A config body is written to a file whose
+# path is appended.
+OVERSIZED_INPUTS = [
+    (["theorem-a", "--prime", "1000000000000000003", "--n-max", "1"], None),
+    (["eigenvalue", "--prime", "1000000000000000003", "--n-max", "1"], None),
+    (["akita", "--prime", "1000003"], None),
+    (["artin-hasse", "--prime", str(cli.MAX_PRIME + 1)], None),
+    (["theorem-a", "--prime", "3", "--k", str(cli.MAX_K + 1)], None),
+    (["eigenvalue", "--prime", "3", "--k", str(cli.MAX_K + 1)], None),
+    (["bockstein", "--prime", "211"], None),
+    # a prime under its ceiling whose default degree bound 2 deg p^3 is not
+    (["bockstein", "--prime", "41"], None),
+    (["bockstein", "--prime", "3", "--max-deg", str(cli.MAX_DEGREE_BOUND + 1)], None),
+    (["all"], {"primes": [1000003]}),
+    (["all"], {"primes": [3, 41]}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    OVERSIZED_INPUTS,
+    ids=[" ".join(argv) + (f" {config}" if config else "") for argv, config in OVERSIZED_INPUTS],
+)
+def test_oversized_input_exits_two(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kverify.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "ceiling" in proc.stderr
+
+
 def test_error_row_exits_one(monkeypatch, capsys):
     # a computation that raises inside a row is an ERROR row and a red run
     def broken(*args, **kwargs):
@@ -403,7 +449,9 @@ def test_json_byte_stable_apart_from_timing(capsys):
 # The default `all` was captured before the s-number and psi rewrites; the
 # bockstein run covers page 4 and an even generator of degree 4, which the
 # default `all` does not reach; the deep sweep, captured before the
-# eigenvalue classes were cached, runs every eigenvalue row to n = 14.
+# eigenvalue classes were cached, runs every eigenvalue row to n = 14; the
+# wide bockstein run, captured before the page builder shared its blocks,
+# reaches 119,165 degrees at p = 31.
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
@@ -426,13 +474,20 @@ GOLDEN_OUTPUTS = [
         874,
         236496,
     ),
+    (
+        ["bockstein", "--prime", "31", "--pages", "3", "--json"],
+        None,
+        "4bc961799f24b93301c3cdd030ce2c9f685249127c0d184f59d80769a90536e0",
+        3974,
+        1057715,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,config,sha256,rows,size",
     GOLDEN_OUTPUTS,
-    ids=["all", "bockstein-p5-deg4-pages4", "all-config-n14-t16"],
+    ids=["all", "bockstein-p5-deg4-pages4", "all-config-n14-t16", "bockstein-p31-pages3"],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):
     if config is not None:
