@@ -168,7 +168,7 @@ def _conjugate_average(k: int, truncation: int) -> KClass:
     return r_virtual_conjugate_minus_one(k, truncation)
 
 
-def rk_eigenvalue(p: int, k: int, n: int, truncation: int | None = None) -> Fraction:
+def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
     """Eigenvalue of the conjugate-average class on the (2n-1)-st s-number,
     computed through the series route only.
 

@@ -58,40 +58,98 @@ ERROR = "ERROR"
 
 DEFAULTS = {
     "primes": (2, 3, 5, 7),
+    "prime": 3,
+    "k": None,
     "n_max": 6,
     "truncation": 8,
     "deg": 2,
     "pages": 3,
+    "max_deg": None,
 }
 
-
-# Ceilings on the inputs whose cost grows without bound, checked before any
-# primality test or suite runs: is_prime is trial division, the akita
+# (minimum, ceiling) of each setting; an entry of `primes` is a `prime`.
+# The ceilings bound the inputs whose cost grows without bound, each above
+# every documented use: is_prime is trial division and the akita
 # certificate needs B_p (about 3 s at p = 199), r_line_conjugate sums k line
-# powers, and the page engine visits every degree up to its bound.  Each
-# sits above every documented use (prime 31 and degree bound 119,164 in
-# `bockstein --prime 31`).
-MAX_PRIME = 200
-MAX_K = 1000
-MAX_DEGREE_BOUND = 250_000
+# powers, `bernoulli --n-max 200` takes about 4 s, `artin-hasse
+# --truncation 128` about 4 s and `bockstein --prime 31 --pages 64` about
+# 2 s.  max_deg bounds the page engine's degrees, given or its default
+# 2 deg p^3 (119,164 in `bockstein --prime 31`), and deg cannot exceed it.
+LIMITS = {
+    "prime": (2, 200),
+    "k": (3, 1000),
+    "n_max": (1, 200),
+    "truncation": (1, 128),
+    "deg": (2, 250_000),
+    "pages": (2, 64),
+    "max_deg": (1, 250_000),
+}
 
 
 class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
-def _check_prime_ceiling(p: int) -> None:
-    if p > MAX_PRIME:
-        raise UsageError(f"p = {p} is above the prime ceiling {MAX_PRIME}")
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _degree_bound(p: int, deg: int, max_deg: int | None) -> int:
-    """The page engine's degree bound, 2 deg p^3 unless given, checked
-    against its ceiling."""
-    bound = 2 * deg * p**3 if max_deg is None else max_deg
-    if bound > MAX_DEGREE_BOUND:
-        raise UsageError(f"degree bound {bound} is above the ceiling {MAX_DEGREE_BOUND}")
-    return bound
+def check_settings(command: str, settings: dict) -> None:
+    """Raise UsageError unless the command's suite can run on the settings.
+
+    Every input rule is here.  Subcommand argv and `all --config` both pass
+    through it before any suite runs, and every value is checked, also one
+    that no suite reads at the given primes.  The ceilings come before the
+    primality test, which is trial division.
+    """
+    primes = []
+    for key, value in settings.items():
+        if key == "primes":
+            if not isinstance(value, (list, tuple)) or not value or not all(map(_is_int, value)):
+                raise UsageError("configuration key 'primes' must be a non-empty list of integers")
+            if len(set(value)) != len(value):
+                raise UsageError("configuration key 'primes' must not repeat a prime")
+            key, values = "prime", value
+        elif value is None and DEFAULTS[key] is None:
+            continue
+        elif not _is_int(value):
+            raise UsageError(f"configuration key {key!r} must be an integer")
+        else:
+            values = [value]
+        minimum, ceiling = LIMITS[key]
+        for number in values:
+            if number < minimum:
+                raise UsageError(f"{key} must be at least {minimum}")
+            if number > ceiling:
+                raise UsageError(f"{key} = {number} is above the ceiling {ceiling}")
+        if key == "prime":
+            primes = values
+    for p in primes:
+        if not is_prime(p):
+            raise UsageError(f"p = {p} is not prime")
+    if command in ("akita", "bockstein") and 2 in primes:
+        raise UsageError(f"{command} needs an odd prime")
+    k = settings.get("k")
+    if k is not None and k % 2 == 0:
+        # the conjugate-average class subtracts (k - 1)/2
+        raise UsageError(f"k = {k} must be odd")
+    if k is not None and gcd(k, primes[0]) != 1:
+        raise UsageError(f"k = {k} must be coprime to p = {primes[0]}")
+    if "deg" in settings and settings["deg"] % 2:
+        raise UsageError(f"deg = {settings['deg']} must be even")
+    max_deg = settings.get("max_deg")
+    if max_deg is not None and max_deg < settings["deg"]:
+        raise UsageError("max_deg must be at least deg")
+    if command in ("bockstein", "all") and max_deg is None:
+        ceiling = LIMITS["max_deg"][1]
+        # the default degree bound; `all` runs no page engine at p = 2
+        for bound in [2 * settings["deg"] * p**3 for p in primes if p != 2]:
+            if bound > ceiling:
+                raise UsageError(f"degree bound {bound} is above the ceiling {ceiling}")
+    if command in ("artin-hasse", "all") and settings["truncation"] < 2:
+        # below 2 the samples u^2 and u+u^2 are zero or equal to u
+        raise UsageError("truncation must be at least 2")
 
 
 @dataclass
@@ -157,8 +215,6 @@ def _coeff_string(f: KClass) -> str:
 
 
 def cmd_bernoulli(n_max: int) -> list[CheckReport]:
-    if n_max < 1:
-        raise UsageError("n-max must be at least 1")
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -194,27 +250,9 @@ def cmd_bernoulli(n_max: int) -> list[CheckReport]:
     return rows
 
 
-def _eigenvalue_k(p: int, n_max: int, k: int | None) -> int:
-    """Check the arguments theorem-a and eigenvalue share and return k,
-    chosen by choose_k(p) when not given."""
-    _check_prime_ceiling(p)
-    if k is not None and k > MAX_K:
-        raise UsageError(f"k = {k} is above the ceiling {MAX_K}")
-    if not is_prime(p):
-        raise UsageError(f"p = {p} is not prime")
-    if n_max < 1:
-        raise UsageError("n-max must be at least 1")
-    if k is None:
-        k = choose_k(p)
-    if k < 3 or k % 2 == 0 or gcd(k, p) != 1:
-        # the conjugate-average class subtracts (k - 1)/2, so k must be odd
-        raise UsageError(f"k = {k} must be odd, at least 3 and coprime to p = {p}")
-    return k
-
-
-def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]:
-    k = _eigenvalue_k(p, n_max, k)
+def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
     valuation_k = choose_k(p)  # the valuation identity always uses the generator
+    k = k or valuation_k
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -222,7 +260,7 @@ def cmd_theorem_a(p: int, n_max: int, k: int | None = None) -> list[CheckReport]
                 "eigenvalue-closed-form",
                 {"p": p, "k": k, "n": n},
                 lambda n=n: (
-                    frac_str(rk_eigenvalue(p, k, n)),
+                    frac_str(rk_eigenvalue(k, n)),
                     frac_str(eigenvalue_closed_form(k, n)),
                     (),
                 ),
@@ -264,13 +302,13 @@ def _valuation_thunk(p: int, n: int):
 
 
 def _p_local_thunk(p: int, k: int, n: int):
-    valuation = vp(rk_eigenvalue(p, k, n), p).value
+    valuation = vp(rk_eigenvalue(k, n), p)
     lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
     return lhs, "p-local", ()
 
 
-def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[CheckReport]:
-    k = _eigenvalue_k(p, n_max, k)
+def cmd_eigenvalue(p: int, k: int | None, n_max: int, truncation: int) -> list[CheckReport]:
+    k = k or choose_k(p)
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -278,7 +316,7 @@ def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[C
                 "eigenvalue-closed-form",
                 {"p": p, "k": k, "n": n},
                 lambda n=n: (
-                    frac_str(rk_eigenvalue(p, k, n)),
+                    frac_str(rk_eigenvalue(k, n)),
                     frac_str(eigenvalue_closed_form(k, n)),
                     (),
                 ),
@@ -290,8 +328,8 @@ def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[C
                 "eigenvalue-truncation-stable",
                 {"p": p, "k": k, "n": n, "truncation": wide},
                 lambda n=n, wide=wide: (
-                    frac_str(rk_eigenvalue(p, k, n)),
-                    frac_str(rk_eigenvalue(p, k, n, truncation=wide)),
+                    frac_str(rk_eigenvalue(k, n)),
+                    frac_str(rk_eigenvalue(k, n, truncation=wide)),
                     (),
                 ),
                 notes=("default window against a wider truncation",),
@@ -301,10 +339,6 @@ def cmd_eigenvalue(p: int, n_max: int, k: int | None, truncation: int) -> list[C
 
 
 def cmd_akita(p: int) -> list[CheckReport]:
-    _check_prime_ceiling(p)
-    if p == 2 or not is_prime(p):
-        raise UsageError("the counterexample certificate needs an odd prime")
-
     def thunk():
         certificate = akita_counterexample(p)
         verdict = certificate.verdict if certificate.passed else "certificate incomplete"
@@ -336,12 +370,6 @@ def _artin_hasse_samples(truncation: int) -> list[tuple[str, KClass]]:
 
 
 def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
-    _check_prime_ceiling(p)
-    if not is_prime(p):
-        raise UsageError(f"p = {p} is not prime")
-    if truncation < 2:
-        # below 2 the samples u^2 and u+u^2 are zero or equal to u
-        raise UsageError("truncation must be at least 2")
     rows = []
     samples = _artin_hasse_samples(truncation)
     for label, x in samples:
@@ -414,16 +442,7 @@ def _log_closed_form_thunk(p: int, x: KClass):
 
 
 def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[CheckReport]:
-    _check_prime_ceiling(p)
-    max_deg = _degree_bound(p, deg, max_deg)
-    if p == 2 or not is_prime(p):
-        raise UsageError("the page engine needs an odd prime")
-    if deg <= 0 or deg % 2 != 0:
-        raise UsageError(f"deg = {deg} must be a positive even integer")
-    if pages < 2:
-        raise UsageError("pages must be at least 2")
-    if max_deg < deg:
-        raise UsageError("max-deg must be at least deg")
+    max_deg = max_deg or 2 * deg * p**3
     rows = []
     for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
         rows += _bockstein_kind_rows(kind, kind_label, p, deg, pages, max_deg)
@@ -467,8 +486,6 @@ def _bockstein_kind_rows(
 
 def cmd_series(order: int) -> list[CheckReport]:
     """The two series identities behind the eigenvalue computation."""
-    if order < 2 or order % 2 != 0:
-        raise UsageError("order must be an even integer >= 2")
     rows = [
         run_check(
             "series-log-bernoulli",
@@ -497,49 +514,30 @@ def _series_thunk(check):
     )
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def cmd_all(config: dict) -> list[CheckReport]:
-    if "prime" in config and "primes" in config:
-        raise UsageError("configuration keys 'prime' and 'primes' are exclusive")
-    settings = dict(DEFAULTS)
-    for key, value in config.items():
-        if key == "prime":
-            key, value = "primes", [value]
-        if key not in settings:
-            raise UsageError(f"unknown configuration key {key!r}")
-        settings[key] = value
-    for key in ("n_max", "truncation", "deg", "pages"):
-        if not _is_int(settings[key]):
-            raise UsageError(f"configuration key {key!r} must be an integer")
-    primes = settings["primes"]
-    if not isinstance(primes, (list, tuple)) or not primes or not all(map(_is_int, primes)):
-        raise UsageError("configuration key 'primes' must be a non-empty list of integers")
-    if len(set(primes)) != len(primes):
-        raise UsageError("configuration key 'primes' must not repeat a prime")
+def cmd_all(primes, n_max: int, truncation: int, deg: int, pages: int) -> list[CheckReport]:
+    rows = cmd_bernoulli(n_max) + cmd_series(30)
     for p in primes:
-        _check_prime_ceiling(p)
-        if not is_prime(p):
-            raise UsageError(f"configured prime {p} is not prime")
-        if p != 2:
-            _degree_bound(p, settings["deg"], None)
-    n_max = settings["n_max"]
-    truncation = settings["truncation"]
-    deg = settings["deg"]
-    pages = settings["pages"]
-    rows = cmd_bernoulli(n_max)
-    rows += cmd_series(30)
-    for p in primes:
-        rows += cmd_theorem_a(p, n_max)
-        rows += cmd_eigenvalue(p, n_max, None, truncation)
+        rows += cmd_theorem_a(p, None, n_max)
+        rows += cmd_eigenvalue(p, None, n_max, truncation)
         rows += cmd_artin_hasse(p, truncation)
         if p != 2:
             rows += cmd_akita(p)
             rows += cmd_bockstein(p, deg, pages, None)
     return rows
+
+
+# Each subcommand's suite and the settings it takes, in the order of its
+# options and of the suite's parameters.  `all` reads its settings from
+# --config, the others from one option per setting.
+COMMANDS = {
+    "bernoulli": (cmd_bernoulli, ("n_max",)),
+    "theorem-a": (cmd_theorem_a, ("prime", "k", "n_max")),
+    "eigenvalue": (cmd_eigenvalue, ("prime", "k", "n_max", "truncation")),
+    "akita": (cmd_akita, ("prime",)),
+    "artin-hasse": (cmd_artin_hasse, ("prime", "truncation")),
+    "bockstein": (cmd_bockstein, ("prime", "deg", "pages", "max_deg")),
+    "all": (cmd_all, ("primes", "n_max", "truncation", "deg", "pages")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -565,65 +563,49 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON array of report rows")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bernoulli = sub.add_parser("bernoulli", parents=[common])
-    p_bernoulli.add_argument("--n-max", type=_positive_int, default=DEFAULTS["n_max"])
-
-    p_theorem = sub.add_parser("theorem-a", parents=[common])
-    p_theorem.add_argument("--prime", type=_positive_int, default=3)
-    p_theorem.add_argument("--k", type=_positive_int, default=None)
-    p_theorem.add_argument("--n-max", type=_positive_int, default=DEFAULTS["n_max"])
-
-    p_eigen = sub.add_parser("eigenvalue", parents=[common])
-    p_eigen.add_argument("--prime", type=_positive_int, default=3)
-    p_eigen.add_argument("--k", type=_positive_int, default=None)
-    p_eigen.add_argument("--n-max", type=_positive_int, default=DEFAULTS["n_max"])
-    p_eigen.add_argument("--truncation", type=_positive_int, default=DEFAULTS["truncation"])
-
-    p_akita = sub.add_parser("akita", parents=[common])
-    p_akita.add_argument("--prime", type=_positive_int, default=3)
-
-    p_artin = sub.add_parser("artin-hasse", parents=[common])
-    p_artin.add_argument("--prime", type=_positive_int, default=3)
-    p_artin.add_argument("--truncation", type=_positive_int, default=DEFAULTS["truncation"])
-
-    p_bock = sub.add_parser("bockstein", parents=[common])
-    p_bock.add_argument("--prime", type=_positive_int, default=3)
-    p_bock.add_argument("--deg", type=_positive_int, default=DEFAULTS["deg"])
-    p_bock.add_argument("--pages", type=_positive_int, default=DEFAULTS["pages"])
-    p_bock.add_argument("--max-deg", type=_positive_int, default=None)
-
-    p_all = sub.add_parser("all", parents=[common])
-    p_all.add_argument("--config", default=None, help="flat JSON object of option overrides")
-
+    for command, (_, names) in COMMANDS.items():
+        options = sub.add_parser(command, parents=[common])
+        if command == "all":
+            options.add_argument("--config", default=None, help="flat JSON object of option overrides")
+            continue
+        for name in names:
+            options.add_argument(
+                "--" + name.replace("_", "-"), type=_positive_int, default=DEFAULTS[name]
+            )
     return parser
 
 
+def _config_settings(path: str | None, names) -> dict:
+    """The settings of `all`: the defaults, overridden by the flat JSON
+    object in the file at path, where `prime` stands for a one-prime
+    `primes`.  Only check_settings judges the values."""
+    config = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                config = json.load(handle)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise UsageError(f"cannot read config {path}: {err}") from err
+        if not isinstance(config, dict):
+            raise UsageError("config must be a flat JSON object")
+    if "prime" in config:
+        if "primes" in config:
+            raise UsageError("configuration keys 'prime' and 'primes' are exclusive")
+        config["primes"] = [config.pop("prime")]
+    for key in config:
+        if key not in names:
+            raise UsageError(f"unknown configuration key {key!r}")
+    return {name: config.get(name, DEFAULTS[name]) for name in names}
+
+
 def _rows_for(args) -> list[CheckReport]:
-    if args.command == "bernoulli":
-        return cmd_bernoulli(args.n_max)
-    if args.command == "theorem-a":
-        return cmd_theorem_a(args.prime, args.n_max, args.k)
-    if args.command == "eigenvalue":
-        return cmd_eigenvalue(args.prime, args.n_max, args.k, args.truncation)
-    if args.command == "akita":
-        return cmd_akita(args.prime)
-    if args.command == "artin-hasse":
-        return cmd_artin_hasse(args.prime, args.truncation)
-    if args.command == "bockstein":
-        return cmd_bockstein(args.prime, args.deg, args.pages, args.max_deg)
+    suite, names = COMMANDS[args.command]
     if args.command == "all":
-        config = {}
-        if args.config is not None:
-            try:
-                with open(args.config, "r", encoding="utf-8") as handle:
-                    config = json.load(handle)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
-                raise UsageError(f"cannot read config {args.config}: {err}") from err
-            if not isinstance(config, dict):
-                raise UsageError("config must be a flat JSON object")
-        return cmd_all(config)
-    raise UsageError(f"unknown command {args.command!r}")
+        settings = _config_settings(args.config, names)
+    else:
+        settings = {name: getattr(args, name) for name in names}
+    check_settings(args.command, settings)
+    return suite(*settings.values())
 
 
 def _print_table(rows: list[CheckReport]) -> None:

@@ -60,14 +60,6 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """p-adic valuation of a rational; value is an int, or INFINITE for zero."""
-
-    prime: int
-    value: int | float
-
-
 def _int_valuation(n: int, p: int) -> int:
     # n must be nonzero
     n = abs(n)
@@ -78,13 +70,13 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def vp(q: Fraction | int, p: int) -> Valuation:
-    """p-adic valuation of a rational, with vp(0) = INFINITE."""
+def vp(q: Fraction | int, p: int) -> int | float:
+    """p-adic valuation of a rational: an int, or INFINITE for zero."""
     _require_prime(p)
     q = Fraction(q)
     if q == 0:
-        return Valuation(p, INFINITE)
-    return Valuation(p, _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p))
+        return INFINITE
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import series
 from .exact import is_prime, vp
 from .polyring import (
     INTEGRAL,
@@ -88,11 +89,6 @@ def psi_on_suspension(k: int, s: SuspensionClass) -> SuspensionClass:
     return SuspensionClass(psi(k, s.base) * k)
 
 
-def lambda_line(a: int, truncation: int) -> KClass:
-    """1 - L^a, the K-theory Euler class of the line with first Chern class a."""
-    return KClass.one(truncation) - line_power(a, truncation)
-
-
 def rho_line(k: int, a: int, truncation: int) -> KClass:
     """(1/k) * (1 + L^a + L^(2a) + ... + L^((k-1)a)), with k inverted."""
     if k < 1:
@@ -101,14 +97,6 @@ def rho_line(k: int, a: int, truncation: int) -> KClass:
     for j in range(k):
         total = total + line_power(a * j, truncation)
     return (total * Fraction(1, k)).with_claim(k_inverted(k))
-
-
-def rho_sum(k: int, exponents: tuple[int, ...], truncation: int) -> KClass:
-    """The transfer class of a sum of lines: product of the line values."""
-    result = KClass.one(truncation, k_inverted(k))
-    for a in exponents:
-        result = result * rho_line(k, a, truncation)
-    return result
 
 
 def r_line_conjugate(k: int, truncation: int) -> KClass:
@@ -146,7 +134,7 @@ def _divide_p_power(f: KClass, p: int, t: int) -> KClass:
     power = p**t
     out = []
     for i, c in enumerate(f.coeffs):
-        if c != 0 and vp(c, p).value < t:
+        if c != 0 and vp(c, p) < t:
             raise IntegralityViolation(p, t, i, c)
         out.append(c / power)
     return KClass(out, f.truncation, p_local(p))
@@ -192,17 +180,12 @@ def theta_on_suspension(p: int, t: int, s: SuspensionClass) -> SuspensionClass:
 
 
 def log_one_minus(x: KClass) -> KClass:
-    """log(1 - x) = -sum x^m / m, truncated; x must be reduced."""
-    if x.augmentation != 0:
-        raise ValueError("argument must have augmentation zero")
-    total = KClass.zero(x.truncation, INTEGRAL)
-    xm = x
-    for m in range(1, x.truncation + 1):
-        if xm.is_zero():
-            break
-        total = total + xm * Fraction(-1, m)
-        xm = xm * x
-    return total
+    """log(1 - x) = -sum x^m / m, truncated, by the series logarithm.
+
+    x must be reduced: otherwise 1 - x has a constant term other than 1 and
+    series.log1 raises ValueError.
+    """
+    return KClass(series.log1((KClass.one(x.truncation) - x).coeffs, x.truncation), x.truncation)
 
 
 def artin_hasse_log(p: int, x: KClass) -> KClass:

@@ -159,30 +159,30 @@ def test_series_route_matches_closed_form():
     for p in (3, 5, 7):
         k = choose_k(p)
         for n in range(1, 5):
-            value = rk_eigenvalue(p, k, n)
+            value = rk_eigenvalue(k, n)
             assert value == eigenvalue_closed_form(k, n), (p, n)
             # p-local: the denominator never picks up the prime
-            assert vp(value, p).value >= 0, (p, n)
+            assert vp(value, p) >= 0, (p, n)
 
 
 def test_eigenvalue_worked_examples():
-    assert rk_eigenvalue(3, 5, 1) == 2
-    assert rk_eigenvalue(7, 3, 1) == Fraction(2, 3)
-    assert rk_eigenvalue(3, 5, 2) == Fraction(-26, 5)
+    assert rk_eigenvalue(5, 1) == 2
+    assert rk_eigenvalue(3, 1) == Fraction(2, 3)
+    assert rk_eigenvalue(5, 2) == Fraction(-26, 5)
 
 
 def test_eigenvalue_truncation_stable():
     for n in (1, 2, 3):
-        tight = rk_eigenvalue(3, 5, n)
-        wide = rk_eigenvalue(3, 5, n, truncation=2 * n + 5)
+        tight = rk_eigenvalue(5, n)
+        wide = rk_eigenvalue(5, n, truncation=2 * n + 5)
         assert tight == wide, n
 
 
 def test_eigenvalue_input_validation():
     with pytest.raises(ValueError):
-        rk_eigenvalue(3, 5, 0)
+        rk_eigenvalue(5, 0)
     with pytest.raises(ValueError):
-        rk_eigenvalue(3, 5, 2, truncation=2)
+        rk_eigenvalue(5, 2, truncation=2)
 
 
 # -- the double-loop logarithm seen through s-numbers -----------------------

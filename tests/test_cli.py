@@ -20,13 +20,8 @@ from kverify.cli import (
     FAIL,
     PASS,
     CheckReport,
-    UsageError,
-    cmd_akita,
-    cmd_artin_hasse,
     cmd_bernoulli,
-    cmd_bockstein,
     cmd_eigenvalue,
-    cmd_series,
     cmd_theorem_a,
     main,
     run_check,
@@ -72,39 +67,6 @@ def test_sort_reports_orders_by_name_then_parameters():
     assert ordered[2].parameters["n"] == 10  # integers sort numerically, not textually
 
 
-# -- suite-level validation -------------------------------------------------
-
-
-def test_suite_usage_errors():
-    with pytest.raises(UsageError):
-        cmd_akita(2)
-    with pytest.raises(UsageError):
-        cmd_akita(9)
-    with pytest.raises(UsageError):
-        cmd_bockstein(3, 3, 3, None)
-    with pytest.raises(UsageError):
-        cmd_bockstein(3, 2, 1, None)
-    with pytest.raises(UsageError):
-        cmd_series(3)
-    with pytest.raises(UsageError):
-        cmd_theorem_a(4, 2)
-    with pytest.raises(UsageError):
-        cmd_theorem_a(3, 0)
-    with pytest.raises(UsageError):
-        cmd_eigenvalue(3, 2, 3, 8)
-    with pytest.raises(UsageError):
-        cmd_eigenvalue(3, 2, 1, 8)
-    # the conjugate-average class subtracts (k - 1)/2, so k must be odd
-    with pytest.raises(UsageError):
-        cmd_theorem_a(3, 2, 4)
-    with pytest.raises(UsageError):
-        cmd_eigenvalue(3, 2, 4, 8)
-    # at truncation 0 or 1 the samples u^2 and u+u^2 are zero or u
-    for truncation in (0, 1):
-        with pytest.raises(UsageError):
-            cmd_artin_hasse(3, truncation)
-
-
 # -- exit codes through main ------------------------------------------------
 
 
@@ -134,6 +96,75 @@ def test_usage_problems_exit_two(capsys, tmp_path):
     assert "is not positive" in capsys.readouterr().err
 
 
+# One input per rule of cli.check_settings, tripping that rule and no other,
+# as argv and, where the setting is a configuration key, as `all --config`:
+# (argv or config body, the rule's message).  Each minimum is above what the
+# option parser already rejects.  A prime below 2 is not prime either, and
+# neither is 201: the limits come before the primality test.
+RULE_CASES = [
+    ({"primes": [3, "5"]}, "configuration key 'primes' must be a non-empty list of integers"),
+    ({"primes": [3, 3]}, "configuration key 'primes' must not repeat a prime"),
+    ({"n_max": "6"}, "configuration key 'n_max' must be an integer"),
+    (["theorem-a", "--k", "1"], "k must be at least 3"),
+    (["bockstein", "--pages", "1"], "pages must be at least 2"),
+    ({"primes": [3], "pages": 1}, "pages must be at least 2"),
+    ({"primes": [3], "n_max": 0}, "n_max must be at least 1"),
+    ({"primes": [1]}, "prime must be at least 2"),
+    (["akita", "--prime", "211"], "prime = 211 is above the ceiling 200"),
+    ({"primes": [3, 201]}, "prime = 201 is above the ceiling 200"),
+    (["theorem-a", "--k", "1001"], "k = 1001 is above the ceiling 1000"),
+    (["bernoulli", "--n-max", "201"], "n_max = 201 is above the ceiling 200"),
+    ({"primes": [3], "n_max": 201}, "n_max = 201 is above the ceiling 200"),
+    (["eigenvalue", "--truncation", "129"], "truncation = 129 is above the ceiling 128"),
+    ({"primes": [3], "truncation": 129}, "truncation = 129 is above the ceiling 128"),
+    (["bockstein", "--pages", "65"], "pages = 65 is above the ceiling 64"),
+    ({"primes": [3], "pages": 65}, "pages = 65 is above the ceiling 64"),
+    ({"primes": [2], "deg": 250_002}, "deg = 250002 is above the ceiling 250000"),
+    (["bockstein", "--max-deg", "250001"], "max_deg = 250001 is above the ceiling 250000"),
+    (["artin-hasse", "--prime", "9"], "p = 9 is not prime"),
+    (["theorem-a", "--prime", "4"], "p = 4 is not prime"),
+    ({"primes": [3, 9]}, "p = 9 is not prime"),
+    (["akita", "--prime", "2"], "akita needs an odd prime"),
+    (["bockstein", "--prime", "2"], "bockstein needs an odd prime"),
+    (["theorem-a", "--k", "4"], "k = 4 must be odd"),
+    (["eigenvalue", "--prime", "3", "--k", "9"], "k = 9 must be coprime to p = 3"),
+    (["bockstein", "--deg", "3"], "deg = 3 must be even"),
+    ({"primes": [2], "deg": 3}, "deg = 3 must be even"),
+    (["bockstein", "--prime", "41"], "degree bound 275684 is above the ceiling 250000"),
+    ({"primes": [2, 41]}, "degree bound 275684 is above the ceiling 250000"),
+    (["bockstein", "--deg", "4", "--max-deg", "2"], "max_deg must be at least deg"),
+    (["artin-hasse", "--truncation", "1"], "truncation must be at least 2"),
+    ({"primes": [3], "truncation": 1}, "truncation must be at least 2"),
+    # a value that no suite reads at these primes is checked all the same
+    ({"primes": [2], "pages": 1, "deg": 3}, "pages must be at least 2"),
+    ({"primes": [2, 3], "n_max": 14, "truncation": 16, "pages": 1}, "pages must be at least 2"),
+]
+
+
+class SuiteRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    RULE_CASES,
+    ids=[" ".join(case) if isinstance(case, list) else f"all {case}" for case, _ in RULE_CASES],
+)
+def test_each_rule_exits_two_before_any_suite(monkeypatch, capsys, tmp_path, case, message):
+    def no_row(*args, **kwargs):
+        raise SuiteRan(args[0])
+
+    monkeypatch.setattr(cli, "run_check", no_row)  # every suite builds its rows here
+    if isinstance(case, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(case))
+        case = ["all", "--config", str(path)]
+    assert main(case) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # Each argv exceeds one input ceiling.  Without the ceilings the huge primes
 # spend minutes in trial division (akita then in B_p), and `bockstein --prime
 # 211` would build 37.6M degrees.  A config body is written to a file whose
@@ -142,15 +173,23 @@ OVERSIZED_INPUTS = [
     (["theorem-a", "--prime", "1000000000000000003", "--n-max", "1"], None),
     (["eigenvalue", "--prime", "1000000000000000003", "--n-max", "1"], None),
     (["akita", "--prime", "1000003"], None),
-    (["artin-hasse", "--prime", str(cli.MAX_PRIME + 1)], None),
-    (["theorem-a", "--prime", "3", "--k", str(cli.MAX_K + 1)], None),
-    (["eigenvalue", "--prime", "3", "--k", str(cli.MAX_K + 1)], None),
+    (["artin-hasse", "--prime", str(cli.LIMITS["prime"][1] + 1)], None),
+    (["theorem-a", "--prime", "3", "--k", str(cli.LIMITS["k"][1] + 1)], None),
+    (["eigenvalue", "--prime", "3", "--k", str(cli.LIMITS["k"][1] + 1)], None),
     (["bockstein", "--prime", "211"], None),
     # a prime under its ceiling whose default degree bound 2 deg p^3 is not
     (["bockstein", "--prime", "41"], None),
-    (["bockstein", "--prime", "3", "--max-deg", str(cli.MAX_DEGREE_BOUND + 1)], None),
+    (["bockstein", "--prime", "3", "--max-deg", str(cli.LIMITS["max_deg"][1] + 1)], None),
     (["all"], {"primes": [1000003]}),
     (["all"], {"primes": [3, 41]}),
+    # `bernoulli --n-max 3000`, `artin-hasse --truncation 400` and `bockstein
+    # --pages 20000` each ran past 7 s without these three ceilings
+    (["bernoulli", "--n-max", "3000"], None),
+    (["artin-hasse", "--prime", "3", "--truncation", "400"], None),
+    (["bockstein", "--prime", "3", "--max-deg", "10", "--pages", "20000"], None),
+    (["all"], {"primes": [3], "n_max": 3000}),
+    (["all"], {"primes": [3], "truncation": 400}),
+    (["all"], {"primes": [3], "pages": 20000}),
 ]
 
 
@@ -245,7 +284,7 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
     def suites():
         rows = []
         for p in (2, 5, 7):
-            rows += cmd_theorem_a(p, n_max) + cmd_eigenvalue(p, n_max, None, truncation)
+            rows += cmd_theorem_a(p, None, n_max) + cmd_eigenvalue(p, None, n_max, truncation)
         return rows
 
     assert all(row.status == PASS for row in suites())  # fills the Bernoulli tables
@@ -284,7 +323,7 @@ def test_truncation_stable_row_compares_separate_inversions(
         return KClass(coeffs, truncation, f.claim)
 
     monkeypatch.setattr(chern, "r_virtual_conjugate_minus_one", corrupted)
-    rows = cmd_eigenvalue(3, 3, None, 8)
+    rows = cmd_eigenvalue(3, None, 3, 8)
     failed = {(row.check_name, row.parameters["n"]) for row in rows if row.status != PASS}
     assert failed == {("eigenvalue-closed-form", n), ("eigenvalue-truncation-stable", n)}
     assert all(row.status in (PASS, FAIL) for row in rows)
@@ -342,8 +381,6 @@ MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockst
 
 # Public names that an `all` run leaves uncalled, each with the reason it stays.
 ALLOWED_UNREACHED = {
-    "kops.lambda_line": "acceptance gate 4 checks the transfer identities with it",
-    "kops.rho_sum": "acceptance gate 4 checks the transfer identities with it",
     "polyring.Claim.label": "runs only while building an error message",
     "polyring.KClass.__eq__": "tests compare ring values; report rows compare strings",
     "polyring.KClass.__hash__": "kept consistent with __eq__, which tests call",

@@ -170,15 +170,14 @@ def test_bad_indices_rejected():
 
 
 def test_vp_basics():
-    assert vp(12, 2).value == 2
-    assert vp(Fraction(3, 4), 2).value == -2
-    assert vp(Fraction(9, 5), 3).value == 2
-    assert vp(Fraction(-8), 2).value == 3
+    assert vp(12, 2) == 2
+    assert vp(Fraction(3, 4), 2) == -2
+    assert vp(Fraction(9, 5), 3) == 2
+    assert vp(Fraction(-8), 2) == 3
 
 
 def test_vp_zero_is_infinite():
-    v = vp(0, 7)
-    assert v.value == INFINITE
+    assert vp(0, 7) == INFINITE
 
 
 def test_vp_needs_prime():

@@ -17,14 +17,12 @@ from kverify.kops import (
     artin_hasse_log,
     artin_hasse_log_on_suspension,
     l_double_loop,
-    lambda_line,
     log_one_minus,
     psi,
     psi_on_suspension,
     r_line_conjugate,
     r_virtual_conjugate_minus_one,
     rho_line,
-    rho_sum,
     theta,
     theta_on_suspension,
 )
@@ -132,18 +130,21 @@ def test_rho_line_defining_relation():
     # psi^k(1 - L^a) = k * rho * (1 - L^a), the cyclic-cover transfer law
     for k in (2, 3, 5):
         for a in (1, 2, 3):
-            lam = lambda_line(a, 8)
+            lam = KClass.one(8) - line_power(a, 8)
             assert psi(k, lam) == k * rho_line(k, a, 8) * lam
 
 
 def test_rho_sum_defining_relation():
     for k in (2, 3):
         for exponents in ((1,), (1, 2), (2, 3), (1, 1, 2)):
+            # the transfer class of a sum of lines is the product of the line values
             product = KClass.one(8, INTEGRAL)
+            rho = KClass.one(8, k_inverted(k))
             for a in exponents:
-                product = product * lambda_line(a, 8)
+                product = product * (KClass.one(8) - line_power(a, 8))
+                rho = rho * rho_line(k, a, 8)
             lhs = psi(k, product)
-            rhs = k ** len(exponents) * rho_sum(k, exponents, 8) * product
+            rhs = k ** len(exponents) * rho * product
             assert lhs == rhs, (k, exponents)
 
 
