@@ -70,11 +70,12 @@ DEFAULTS = {
 # (minimum, ceiling) of each setting; an entry of `primes` is a `prime`.
 # The ceilings bound the inputs whose cost grows without bound, each above
 # every documented use: is_prime is trial division and the akita
-# certificate needs B_p (about 3 s at p = 199), r_line_conjugate sums k line
-# powers, `bernoulli --n-max 200` takes about 4 s, `artin-hasse
-# --truncation 128` about 4 s and `bockstein --prime 31 --pages 64` about
-# 2 s.  max_deg bounds the page engine's degrees, given or its default
-# 2 deg p^3 (119,164 in `bockstein --prime 31`), and deg cannot exceed it.
+# certificate needs B_p (about 1 s at p = 199), r_line_conjugate sums k line
+# powers, `bernoulli --n-max 200` takes about 1 s (`theorem-a` about 7 s,
+# `eigenvalue` about 11 s), `artin-hasse --truncation 128` about 3 s and
+# `bockstein --prime 31 --pages 64` about 2 s.  max_deg bounds the page
+# engine's degrees, given or its default 2 deg p^3 (119,164 in `bockstein
+# --prime 31`), and deg cannot exceed it.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),

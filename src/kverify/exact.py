@@ -22,6 +22,14 @@ so a run up to n inverts about log2(2n) series instead of n.
 ``bernoulli_recursive(n)`` extends one module-level list of signed B_j
 with the recurrence as far as index 2n.  The two routes share no
 arithmetic: the recurrence never touches ``series``.
+
+Both routes sum integers.  The series route gets this from ``series.inv``;
+the recurrence writes the same idiom out on its own: it reads the table as
+integer numerators over the lcm of its denominators, sums each new entry's
+binomial terms as one integer, makes one Fraction of it, and rescales the
+numerators when that entry widens the common denominator.  The integers are
+rebuilt from the table on every call that extends it, so the table stays the
+one record of the recurrence.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from . import series
 
@@ -113,9 +121,19 @@ def bernoulli_recursive(n: int) -> Fraction:
         raise ValueError("Bernoulli index starts at 1")
     m = 2 * n
     b = _recurrence_table
-    for j in range(len(b), m + 1):
-        s = sum(comb(j + 1, i) * b[i] for i in range(j))
-        b.append(-s / (j + 1))
+    if len(b) <= m:
+        # b[i] = nums[i] / d for every i
+        d = lcm(*(q.denominator for q in b))
+        nums = [q.numerator * (d // q.denominator) for q in b]
+        for j in range(len(b), m + 1):
+            s = sum(comb(j + 1, i) * x for i, x in enumerate(nums) if x)
+            q = Fraction(-s, d * (j + 1))
+            b.append(q)
+            widen = q.denominator // gcd(d, q.denominator)
+            if widen != 1:
+                nums = [x * widen for x in nums]
+                d *= widen
+            nums.append(q.numerator * (d // q.denominator))
     return (-1) ** (n - 1) * b[m]
 
 

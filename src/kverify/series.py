@@ -7,12 +7,20 @@ character module.
 
 fit is where other numbers become Fractions.  It passes a value that is a
 Fraction already through untouched, so each coefficient is coerced once.
+
+mul and inv never add two Fractions.  Each scales its inputs once to integer
+numerators over the lcm of their denominators, sums integer products, and
+builds one Fraction per output coefficient, so every coefficient is
+normalised once instead of once per product.  inv also keeps the
+coefficients it has found as integers over one running denominator, and
+rescales them once whenever a new coefficient widens it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul as _times
 from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
@@ -42,32 +50,49 @@ def scale(a: Sequence[Fraction], q: Fraction | int) -> Coeffs:
     return tuple(q * x for x in a)
 
 
+def _over_lcm(coeffs: Coeffs) -> tuple[list[int], int]:
+    """(numerators, d): integers whose quotients by d are the coefficients,
+    d the lcm of their denominators, with trailing zeros dropped."""
+    qs = list(coeffs)
+    while qs and qs[-1] == 0:
+        qs.pop()
+    d = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (d // q.denominator) for q in qs], d
+
+
 def mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Coeffs:
-    out = [_ZERO] * (order + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > order:
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            if y != 0:
-                out[i + j] += x * y
-    return tuple(out)
+    na, da = _over_lcm(fit(a, order))
+    nb, db = _over_lcm(fit(b, order))
+    out = [0] * (order + 1)
+    for i, x in enumerate(na):
+        if x:
+            for k, y in enumerate(nb[: order + 1 - i], i):
+                if y:
+                    out[k] += x * y
+    d = da * db
+    return tuple(Fraction(c, d) if c else _ZERO for c in out)
 
 
 def inv(a: Sequence[Fraction], order: int) -> Coeffs:
     """Multiplicative inverse; the constant term must be nonzero."""
-    a = fit(a, len(a) - 1)
-    c = a[0]
-    if c == 0:
+    if not a or a[0] == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    out = [_ZERO] * (order + 1)
-    out[0] = 1 / c
+    na, da = _over_lcm(fit(a, order))
+    # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (na[0] e)
+    # for out[i] = nout[i] / e; rna holds na[1:] reversed.
+    rna = na[:0:-1]
+    first = Fraction(da, na[0])
+    out = [first]
+    nout, e = [first.numerator], first.denominator
     for m in range(1, order + 1):
-        s = _ZERO
-        for j in range(1, min(m, len(a) - 1) + 1):
-            s += a[j] * out[m - j]
-        out[m] = -s / c
+        j = min(m, len(rna))
+        q = Fraction(-sum(map(_times, rna[len(rna) - j :], nout[m - j :])), na[0] * e)
+        out.append(q)
+        widen = q.denominator // gcd(e, q.denominator)
+        if widen != 1:
+            nout = [x * widen for x in nout]
+            e *= widen
+        nout.append(q.numerator * (e // q.denominator))
     return tuple(out)
 
 
@@ -84,7 +109,7 @@ def compose(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> Coeffs:
 
 def log1(a: Sequence[Fraction], order: int) -> Coeffs:
     """log of a series with constant term 1."""
-    if a[0] != 1:
+    if not a or a[0] != 1:
         raise ValueError("log needs constant term 1")
     w = fit([0, *a[1:]], order)
     out = [_ZERO] * (order + 1)

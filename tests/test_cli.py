@@ -488,7 +488,9 @@ def test_json_byte_stable_apart_from_timing(capsys):
 # default `all` does not reach; the deep sweep, captured before the
 # eigenvalue classes were cached, runs every eigenvalue row to n = 14; the
 # wide bockstein run, captured before the page builder shared its blocks,
-# reaches 119,165 degrees at p = 31.
+# reaches 119,165 degrees at p = 31; the two bernoulli runs, captured before
+# the series kernels and the recurrence summed over a common denominator,
+# are the bernoulli-wide benchmark input and the n_max ceiling.
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
@@ -518,13 +520,34 @@ GOLDEN_OUTPUTS = [
         3974,
         1057715,
     ),
+    (
+        ["bernoulli", "--n-max", "80", "--json"],
+        None,
+        "3981b52eb74b76e3acdc6bf542536a323c74e68210b9b2d38f9057d7ba085c6e",
+        161,
+        55892,
+    ),
+    (
+        ["bernoulli", "--n-max", "200", "--json"],
+        None,
+        "d1cd1dd661ff7caef3b9bf4c1137727e983547e3f67fc5638d29233f4728c230",
+        401,
+        277301,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,config,sha256,rows,size",
     GOLDEN_OUTPUTS,
-    ids=["all", "bockstein-p5-deg4-pages4", "all-config-n14-t16", "bockstein-p31-pages3"],
+    ids=[
+        "all",
+        "bockstein-p5-deg4-pages4",
+        "all-config-n14-t16",
+        "bockstein-p31-pages3",
+        "bernoulli-n80",
+        "bernoulli-n200",
+    ],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):
     if config is not None:

@@ -5,7 +5,9 @@ and double-checked against the classical denominators; the suite then pits
 the series route against the recurrence route over a wider range.
 """
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -75,6 +77,23 @@ def test_tables_do_not_depend_on_request_order():
     top = (bernoulli(100), bernoulli_recursive(100))
     rest = [(bernoulli(n), bernoulli_recursive(n)) for n in range(1, 100)]
     assert rest + [top] == ascending
+
+
+def _plain_recurrence(max_index):
+    """Positive B_1..B_max_index from the recurrence, one Fraction at a time."""
+    b = [Fraction(1)]
+    for j in range(1, 2 * max_index + 1):
+        b.append(-sum(comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
+    return {n: (-1) ** (n - 1) * b[2 * n] for n in range(1, max_index + 1)}
+
+
+def test_recurrence_matches_a_plain_fraction_recurrence_in_any_order():
+    expected = _plain_recurrence(200)
+    shuffled = list(expected)
+    random.Random(0).shuffle(shuffled)
+    for order in (sorted(expected), sorted(expected, reverse=True), shuffled):
+        _clear_tables()
+        assert {n: bernoulli_recursive(n) for n in order} == expected
 
 
 def test_recurrence_never_inverts_a_series(monkeypatch):

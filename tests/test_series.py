@@ -1,0 +1,132 @@
+"""The series kernels against plain Fraction loops.
+
+mul and inv sum integer numerators over common denominators; the reference
+loops below add one Fraction product at a time, as the kernels once did, and
+serve as the oracle.  compose and log1 reach mul through their own code.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kverify import series
+
+SERIES = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def ref_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if x == 0 or i > order:
+            continue
+        for j, y in enumerate(b):
+            if i + j > order:
+                break
+            if y != 0:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def ref_inv(a, order):
+    a = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (order + 1)
+    out[0] = 1 / a[0]
+    for m in range(1, order + 1):
+        s = Fraction(0)
+        for j in range(1, min(m, len(a) - 1) + 1):
+            s += a[j] * out[m - j]
+        out[m] = -s / a[0]
+    return tuple(out)
+
+
+def ref_compose(f, g, order):
+    acc = series.fit([f[-1]], order)
+    for i in range(len(f) - 2, -1, -1):
+        acc = ref_mul(acc, g, order)
+        acc = tuple(x + (f[i] if k == 0 else 0) for k, x in enumerate(acc))
+    return acc
+
+
+def ref_log1(a, order):
+    w = series.fit([0, *a[1:]], order)
+    out = [Fraction(0)] * (order + 1)
+    wpow = series.fit([1], order)
+    for m in range(1, order + 1):
+        wpow = ref_mul(wpow, w, order)
+        for i, c in enumerate(wpow):
+            out[i] += Fraction((-1) ** (m - 1), m) * c
+    return tuple(out)
+
+
+def _exact(result, expected):
+    return all(type(c) is Fraction for c in result) and result == expected
+
+
+# Coefficients mix ints and Fractions, with zeros common enough that runs
+# of them (inside and at the end of a series) turn up often.
+coefficient = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-40, 40),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+coefficients = st.lists(coefficient, min_size=1, max_size=12)
+nonzero = coefficient.filter(lambda c: c != 0)
+orders = st.integers(0, 16)
+
+
+@SERIES
+@given(coefficients, coefficients, orders)
+def test_mul_matches_fraction_loop(a, b, order):
+    assert _exact(series.mul(a, b, order), ref_mul(a, b, order))
+
+
+@SERIES
+@given(nonzero, st.lists(coefficient, max_size=12), orders)
+def test_inv_matches_fraction_loop(c, rest, order):
+    a = [c, *rest]
+    assert _exact(series.inv(a, order), ref_inv(a, order))
+
+
+@SERIES
+@given(st.lists(coefficient, min_size=1, max_size=8), coefficients, orders)
+def test_compose_matches_fraction_loop(f, g, order):
+    g = [0, *g]
+    assert _exact(series.compose(f, g, order), ref_compose(f, g, order))
+
+
+@SERIES
+@given(st.lists(coefficient, max_size=10), st.integers(0, 12))
+def test_log1_matches_fraction_loop(rest, order):
+    a = [1, *rest]
+    assert _exact(series.log1(a, order), ref_log1(a, order))
+
+
+def test_order_zero():
+    assert series.mul([Fraction(2, 3), 5], [Fraction(-3, 4), 1], 0) == (Fraction(-1, 2),)
+    assert series.inv([Fraction(-2, 3), 1, 1], 0) == (Fraction(-3, 2),)
+
+
+def test_inverse_of_the_bernoulli_denominators():
+    # exp(z) - 1 over z: the coefficient denominators widen at almost
+    # every step, so the stored numerators are rescaled again and again
+    order = 64
+    a = tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1))
+    inverse = series.inv(a, order)
+    assert inverse == ref_inv(a, order)
+    assert series.mul(a, inverse, order) == series.fit([1], order)
+
+
+@pytest.mark.parametrize("a", [(), (0,), (Fraction(0), 1), [0, 0, 3]])
+def test_inverse_needs_a_nonzero_constant_term(a):
+    with pytest.raises(ZeroDivisionError):
+        series.inv(a, 4)
+
+
+@pytest.mark.parametrize("a", [(), (0, 1), (Fraction(2), 1)])
+def test_log_needs_constant_term_one(a):
+    with pytest.raises(ValueError, match="constant term 1"):
+        series.log1(a, 4)
