@@ -8,16 +8,12 @@ degree range each has at most one monomial per degree, so "matrices" over
 F_p are tiny, but the homology is still computed by honest row reduction,
 never read off a formula.
 
-Pages are sparse: a page holds only the degrees that carry a monomial,
-each with its basis and the block of the differential leaving it, and
-every loop here visits only those degrees.  A degree without a monomial
-has no chains, so its homology is zero without any computation.
-
-A page has many degrees but few distinct blocks (about p on the first
-page, one per coefficient of d(y^a) mod p), so equal blocks within a page
-are one shared tuple, and d*d = 0 is checked once per distinct pair of
-adjacent blocks.  Sharing saves building and checking, not row reduction:
-the homology still row-reduces every block of every degree once.
+A page is stored as runs: arithmetic progressions of degrees, stepping by
+the page's period, with one monomial per degree and one block of the
+differential leaving every degree of the run.  A page of 10^5 degrees is
+about 2p runs, and building the blocks, checking d*d = 0 and computing
+the homology all walk runs: each distinct block is built and row-reduced
+once, and each distinct pair of adjacent blocks is multiplied once.
 
 The expected answer for TYPE1 is the closed-form page
 P{y^(p^r)} (x) E{y^(p^r - 1) x} with d(y^(p^r)) = y^(p^r - 1) x, and for
@@ -32,7 +28,7 @@ notes say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -76,22 +72,27 @@ def build_model(kind: ModelKind, p: int, deg: int, max_degree: int) -> ModelDGA:
     return ModelDGA(kind, p, deg, max_degree)
 
 
+class Run(NamedTuple):
+    """y^powers[i], times the auxiliary generator if aux, at degrees[i], and
+    the block of d^r leaving each (rows indexed by the basis one degree
+    below, which may be empty; entries mod p), or None at degree 0."""
+
+    degrees: range
+    powers: range
+    aux: bool
+    block: tuple[tuple[int, ...], ...] | None
+
+
 @dataclass(frozen=True)
 class PageBasis:
-    """Monomial basis and degree-lowering differential of one page.
-
-    monomials maps each degree that carries a monomial to its ordered
-    basis, and no other degree appears; matrices maps each such nonzero
-    degree d to the block of d^r from degree d to degree d - 1 (rows
-    indexed by the target basis, columns by the source basis), entries
-    reduced mod p.  Blocks are immutable, and equal blocks of one page are
-    the same object.
-    """
+    """Monomial basis and degree-lowering differential of one page: runs
+    in order of first degree, covering each degree that carries a monomial
+    once, each stepping by period.  Equal blocks of a page are one object."""
 
     page_index: int
     prime: int
-    monomials: dict[int, tuple[Monomial, ...]]
-    matrices: dict[int, tuple[tuple[int, ...], ...]]
+    period: int
+    runs: tuple[Run, ...]
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -121,105 +122,108 @@ def rank_mod_p(matrix, p: int) -> int:
     return rank
 
 
-def _page_monomials(model: ModelDGA, page_index: int) -> dict[int, tuple[Monomial, ...]]:
-    """Closed-form basis of a page; page 1 is the full model algebra.
+def _page_runs(model: ModelDGA, page_index: int) -> PageBasis:
+    """Closed-form basis of a page, as runs without blocks.
 
     TYPE1 page r: powers of y^step and their products with y^(step-1) x,
-    where step = p^(r-1); at r = 1 that is every monomial, so one builder
-    serves both the raw start page and the closed-form later pages.  Each
-    family is an arithmetic progression of powers.  The even generator has
-    even degree and the auxiliary one odd degree, so the two families never
-    share a degree and every degree carries at most one monomial.
+    where step = p^(r-1); at r = 1 that is the whole algebra.  Each family
+    is split by its power index mod p, so along a run the power steps by
+    p^r and d has one coefficient.  Degree 0 is a run of its own.  The two
+    families have degrees of opposite parity: one monomial per degree.
     """
+    deg = model.deg_even_gen
+    runs = [Run(range(1), range(1), False, None)]
     if model.kind is ModelKind.TYPE2:
         if page_index >= 2:
-            return {0: (Monomial(0, False),)}
-        step, first_aux_power = 1, 0
+            return PageBasis(page_index, model.p, deg, tuple(runs))
+        step, classes = 1, 1
     else:
-        step = model.p ** (page_index - 1)
-        first_aux_power = step - 1
-    deg = model.deg_even_gen
-    out = {}
-    for first, aux, offset in ((0, False, 0), (first_aux_power, True, model.aux_degree)):
+        step, classes = model.p ** (page_index - 1), model.p
+    period = deg * step * classes
+    for first, aux, offset in ((step, False, 0), (step - 1, True, model.aux_degree)):
         top = (model.max_degree - offset) // deg
-        out.update(
-            {deg * power + offset: (Monomial(power, aux),) for power in range(first, top + 1, step)}
-        )
-    return {degree: out[degree] for degree in sorted(out)}
+        for power in range(first, min(top, first + step * (classes - 1)) + 1, step):
+            degrees = range(deg * power + offset, model.max_degree + 1, period)
+            runs.append(Run(degrees, range(power, top + 1, step * classes), aux, None))
+    runs.sort(key=lambda run: run.degrees.start)
+    return PageBasis(page_index, model.p, period, tuple(runs))
 
 
-def _page_matrices(
-    model: ModelDGA, page_index: int, monomials: dict[int, tuple[Monomial, ...]]
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Differential of the page, from the derivation rule extended by the
-    Leibniz rule.
+def _slice(run: Run, lo: int, hi: int) -> Run:
+    return run._replace(degrees=run.degrees[lo:hi], powers=run.powers[lo:hi])
+
+
+def _neighbours(runs, period: int, shift: int):
+    """(piece, other) for each of runs (in order of first degree) cut where
+    the run holding its degrees moved by shift changes: other is the
+    aligned piece of that run, or None where no run holds them."""
+    by_residue = {}
+    for run in runs:
+        by_residue.setdefault(run.degrees.start % period, []).append(run)
+    for run in runs:
+        moved, done = run.degrees.start + shift, 0
+        for other in by_residue.get(moved % period, ()):
+            offset = (moved - other.degrees.start) // period
+            lo, hi = max(0, -offset), min(len(run.degrees), len(other.degrees) - offset)
+            if lo < hi:
+                if done < lo:
+                    yield _slice(run, done, lo), None
+                yield _slice(run, lo, hi), _slice(other, lo + offset, hi + offset)
+                done = hi
+        if done < len(run.degrees):
+            yield _slice(run, done, len(run.degrees)), None
+
+
+def _page_blocks(model: ModelDGA, page: PageBasis) -> PageBasis:
+    """The page with its differential: each run is cut where the run one
+    degree below changes and given its block by the derivation rule.
 
     TYPE1 page r sends y^(step a) to a * y^(step a - 1) x and kills the
     aux monomials (their would-be image carries the square of an odd
     generator).  TYPE2 page 1 sends z y^a to y^(a+1); later TYPE2 pages
-    are zero.
-
-    A block is fixed by its shape and its nonzero entries, and a page has
-    only about p distinct ones, so each is built once and every degree
-    with the same key holds the same tuple object.
+    are zero.  A nonzero image must be the monomial below at every degree
+    of its piece, which one comparison of two ranges checks.
     """
-    p = model.p
-    type1 = model.kind is ModelKind.TYPE1
-    step = p ** (page_index - 1)
-    blocks: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-    matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for degree, basis in monomials.items():
-        if degree == 0:
-            continue
-        target = monomials.get(degree - 1, ())
-        entries = []
-        for col, (power, aux) in enumerate(basis):
-            if type1:
-                if aux or power < step:
-                    continue
-                coefficient = power // step % p
-                image = (power - 1, True)
-            else:
-                if page_index >= 2 or not aux:
-                    continue
-                coefficient = 1
-                image = (power + 1, False)
-            if coefficient:
-                # a Monomial equals its plain (power, aux) tuple; index
-                # raises when the image is not in the basis below
-                entries.append((target.index(image), col, coefficient))
-        key = (len(target), len(basis), tuple(entries))
-        block = blocks.get(key)
-        if block is None:
-            rows = [[0] * len(basis) for _ in target]
-            for row, col, coefficient in entries:
-                rows[row][col] = coefficient
-            block = blocks[key] = tuple(map(tuple, rows))
-        matrices[degree] = block
-    return matrices
+    page_index, step = page.page_index, model.p ** (page.page_index - 1)
+    blocks, out = {}, []
+    for piece, below in _neighbours(page.runs, page.period, -1):
+        if model.kind is ModelKind.TYPE1:
+            coefficient, shift = (0 if piece.aux else piece.powers.start // step % model.p), -1
+        else:
+            coefficient, shift = int(page_index == 1 and piece.aux), 1
+        image = range(piece.powers.start + shift, piece.powers.stop + shift, piece.powers.step)
+        if coefficient and (below is None or (below.aux, below.powers) != (not piece.aux, image)):
+            raise ValueError(
+                f"image of {Monomial(piece.powers[0], piece.aux)} is not in the basis "
+                f"of degree {piece.degrees[0] - 1} on page {page_index}"
+            )
+        block = blocks.setdefault((bool(below), coefficient), ((coefficient,),) if below else ())
+        out.append(piece._replace(block=block if piece.degrees.start else None))
+    return replace(page, runs=tuple(sorted(out, key=lambda run: run.degrees.start)))
 
 
 def _check_dd_zero(page: PageBasis) -> None:
-    """Raise at the first degree where d * d is nonzero mod p.  Blocks are
-    immutable, so each distinct (outgoing, incoming) pair is multiplied
-    once; a pair that fails fails first at its first degree."""
-    checked = set()
-    for degree, outgoing in page.matrices.items():
-        incoming = page.matrices.get(degree + 1)
-        if not outgoing or not incoming:
-            continue
-        pair = (id(outgoing), id(incoming))
-        if pair in checked:
-            continue
-        checked.add(pair)
-        for row in outgoing:
-            for col in range(len(incoming[0])):
-                total = sum(entry * incoming[mid][col] for mid, entry in enumerate(row))
-                if total % page.prime != 0:
-                    raise ArithmeticError(
-                        f"differential does not square to zero at degree "
-                        f"{degree + 1} on page {page.page_index}"
-                    )
+    """Raise at the first degree where d * d is nonzero mod p.  Each
+    distinct (outgoing, incoming) pair of blocks is multiplied once."""
+    pairs = [
+        (piece.degrees[0] + 1, (piece.block, above.block))
+        for piece, above in _neighbours(page.runs, page.period, 1)
+        if piece.block and above and above.block
+    ]
+    vanishes = {
+        (outgoing, incoming): not any(
+            sum(a * b[col] for a, b in zip(row, incoming)) % page.prime
+            for row in outgoing
+            for col in range(len(incoming[0]))
+        )
+        for outgoing, incoming in {pair for _, pair in pairs}
+    }
+    failing = [degree for degree, pair in pairs if not vanishes[pair]]
+    if failing:
+        raise ArithmeticError(
+            f"differential does not square to zero at degree {min(failing)} "
+            f"on page {page.page_index}"
+        )
 
 
 def compute_page(model: ModelDGA, r_max: int) -> list[PageBasis]:
@@ -228,34 +232,31 @@ def compute_page(model: ModelDGA, r_max: int) -> list[PageBasis]:
         raise ValueError("r_max must be at least 1")
     pages = []
     for r in range(1, r_max + 1):
-        monomials = _page_monomials(model, r)
-        matrices = _page_matrices(model, r, monomials)
-        page = PageBasis(r, model.p, monomials, matrices)
+        page = _page_blocks(model, _page_runs(model, r))
         _check_dd_zero(page)
         pages.append(page)
     return pages
 
 
-def page_homology_dims(page: PageBasis, max_degree: int) -> dict[int, int]:
-    """Homology dimension by row reduction, for each degree up to max_degree
-    that carries a monomial.  Other degrees have no chains and are absent;
-    read them as zero.
+def page_homology_dims(page: PageBasis, max_degree: int) -> list[tuple[range, int]]:
+    """Homology dimension by row reduction, as (degrees, dimension) pieces
+    in order of first degree, covering each degree up to max_degree that
+    carries a monomial.  Other degrees have no chains; read them as zero.
 
-    Each block is row-reduced once: its rank is the outgoing rank at its
-    own degree and the incoming rank at the degree below.  The incoming
-    differential comes from one degree higher, so max_degree must stay one
-    below the basis bound.
+    Each distinct block is row-reduced once.  The incoming differential
+    comes from one degree higher, so max_degree must stay one below the
+    basis bound.
     """
-    ranks = {
-        degree: rank_mod_p(block, page.prime)
-        for degree, block in page.matrices.items()
-        if degree <= max_degree + 1
-    }
-    return {
-        degree: len(basis) - ranks.get(degree, 0) - ranks.get(degree + 1, 0)
-        for degree, basis in page.monomials.items()
-        if degree <= max_degree
-    }
+    blocks = {run.block for run in page.runs} - {None}
+    ranks = {block: rank_mod_p(block, page.prime) for block in blocks}
+    pieces = []
+    for piece, above in _neighbours(page.runs, page.period, 1):
+        degrees = range(piece.degrees.start, min(piece.degrees.stop, max_degree + 1), page.period)
+        if degrees:
+            incoming = ranks[above.block] if above else 0
+            pieces.append((degrees, 1 - ranks.get(piece.block, 0) - incoming))
+    pieces.sort(key=lambda piece: piece[0].start)
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -276,10 +277,11 @@ class PageReport:
 def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
     """Homology of each page against the next page's closed-form basis.
 
-    Covers pages 2..max_page over degrees 0..max_degree-1, walking the
-    union of the computed and predicted supports.  The page being verified
-    is the homology of its predecessor; only page 1 enters as raw data, so
-    each row is one inductive step of the closed form.
+    Covers pages 2..max_page over degrees 0..max_degree-1, expanding to
+    degrees only the computed pieces of nonzero dimension and the runs of
+    the closed form.  The page being verified is the homology of its
+    predecessor; only page 1 enters as raw data, so each row is one
+    inductive step of the closed form.
     """
     if max_page < 2:
         raise ValueError("max_page must be at least 2")
@@ -288,12 +290,10 @@ def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
     rows = []
     mismatches = {}
     for target in range(2, max_page + 1):
-        computed = page_homology_dims(pages[target - 2], band)
-        predicted = {
-            degree: len(basis)
-            for degree, basis in pages[target - 1].monomials.items()
-            if degree <= band
-        }
+        pieces = page_homology_dims(pages[target - 2], band)
+        computed = {degree: dim for degrees, dim in pieces if dim for degree in degrees}
+        runs = pages[target - 1].runs
+        predicted = {degree: 1 for run in runs for degree in run.degrees if degree <= band}
         mismatches[target] = 0
         for degree in sorted(computed.keys() | predicted.keys()):
             have, want = computed.get(degree, 0), predicted.get(degree, 0)

@@ -73,9 +73,12 @@ DEFAULTS = {
 # certificate needs B_p (about 1 s at p = 199), r_line_conjugate sums k line
 # powers, `bernoulli --n-max 200` takes about 1 s (`theorem-a` about 7 s,
 # `eigenvalue` about 11 s), `artin-hasse --truncation 128` about 3 s and
-# `bockstein --prime 31 --pages 64` about 2 s.  max_deg bounds the page
+# `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds the page
 # engine's degrees, given or its default 2 deg p^3 (119,164 in `bockstein
-# --prime 31`), and deg cannot exceed it.
+# --prime 31`), and deg cannot exceed it; the engine walks a few runs per
+# page, but the report has a row per degree of nonzero homology, so
+# `bockstein --prime 3 --max-deg 250000 --pages 64` (125,242 rows) takes
+# about 6 s.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),

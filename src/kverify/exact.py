@@ -34,16 +34,12 @@ one record of the recurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 from . import series
-
-#: Distinguished valuation of zero.
-INFINITE = math.inf
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -78,12 +74,12 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def vp(q: Fraction | int, p: int) -> int | float:
-    """p-adic valuation of a rational: an int, or INFINITE for zero."""
+def vp(q: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero rational; zero raises ValueError."""
     _require_prime(p)
     q = Fraction(q)
     if q == 0:
-        return INFINITE
+        raise ValueError("the valuation of zero is not an integer")
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 

@@ -11,7 +11,7 @@ from math import factorial
 
 from kverify.bockstein import (
     ModelKind,
-    Monomial,
+    Run,
     build_model,
     compute_page,
     verify_closed_form_pages,
@@ -177,7 +177,7 @@ def test_7_torsion_page_dimensions():
             model2 = build_model(ModelKind.TYPE2, p, deg, bound)
             ok = ok and verify_closed_form_pages(model2, 3).mismatches == {2: 0, 3: 0}
             for page in compute_page(model2, 3)[1:]:
-                ok = ok and page.monomials == {0: (Monomial(0, False),)}
+                ok = ok and page.runs == (Run(range(1), range(1), False, None),)
     _gate("7/8 torsion page dimensions match the closed form, TYPE2 collapses", ok)
 
 

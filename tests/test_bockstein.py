@@ -5,6 +5,8 @@ fully independent homology count possible by congruence conditions alone;
 that count is the oracle the row-reduction route is measured against.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from kverify import bockstein
@@ -13,12 +15,53 @@ from kverify.bockstein import (
     ModelKind,
     Monomial,
     PageBasis,
+    Run,
     build_model,
     compute_page,
     page_homology_dims,
     rank_mod_p,
     verify_closed_form_pages,
 )
+
+
+def _expand(page):
+    """The page written out degree by degree: ({degree: basis}, {degree:
+    block}) in order of degree.  Fails unless the runs are in order of first
+    degree, step by the period, cover no degree twice and give each degree
+    one power."""
+    starts = [run.degrees.start for run in page.runs]
+    assert starts == sorted(starts), starts
+    monomials, matrices = {}, {}
+    for run in page.runs:
+        assert len(run.degrees) == len(run.powers), run
+        assert len(run.degrees) < 2 or run.degrees.step == page.period, run
+        for degree, power in zip(run.degrees, run.powers):
+            assert degree not in monomials, degree
+            monomials[degree] = (Monomial(power, run.aux),)
+            if run.block is not None:
+                matrices[degree] = run.block
+    return dict(sorted(monomials.items())), dict(sorted(matrices.items()))
+
+
+def _dims(pieces):
+    """Homology pieces written out as {degree: dimension}."""
+    dims = {}
+    for degrees, dim in pieces:
+        for degree in degrees:
+            assert degree not in dims, degree
+            dims[degree] = dim
+    return dims
+
+
+def _forged(page_index, prime, blocks):
+    """A page of period 1 with y^d at each degree d of blocks, which maps
+    the degrees 0, 1, 2, ... in order to the block leaving each (None at
+    degree 0); one run per stretch of one block object."""
+    runs = []
+    for degree, block in blocks.items():
+        start = runs.pop().degrees.start if runs and runs[-1].block is block else degree
+        runs.append(Run(range(start, degree + 1), range(start, degree + 1), False, block))
+    return PageBasis(page_index, prime, 1, tuple(runs))
 
 
 def test_build_model_validation():
@@ -41,8 +84,8 @@ def test_generator_degrees():
     m2 = build_model(ModelKind.TYPE2, 3, 4, 40)
     assert m2.aux_degree == 5
     # y^a sits in degree deg * a, and the auxiliary generator adds its degree
-    page1 = compute_page(m1, 1)[0].monomials
-    page2 = compute_page(m2, 1)[0].monomials
+    page1, _ = _expand(compute_page(m1, 1)[0])
+    page2, _ = _expand(compute_page(m2, 1)[0])
     assert page1[8] == (Monomial(2, False),)
     assert page1[11] == (Monomial(2, True),)
     assert page2[13] == (Monomial(2, True),)
@@ -62,17 +105,20 @@ def test_rank_mod_p_frozen():
 def test_first_page_is_whole_algebra():
     model = build_model(ModelKind.TYPE1, 3, 2, 12)
     (page,) = compute_page(model, 1)
+    monomials, matrices = _expand(page)
     # one monomial per degree: y^(d/2) even, y^((d-1)/2) x odd
+    assert list(monomials) == list(range(13))
     for degree in range(13):
-        basis = page.monomials[degree]
+        basis = monomials[degree]
         assert len(basis) == 1, degree
         power, aux = basis[0]
         assert aux == (degree % 2 == 1)
         assert power == degree // 2
     # d(y^a) = a y^(a-1) x, reduced mod 3
     for a in range(1, 7):
-        assert page.matrices[2 * a] == ((a % 3,),)
-        assert page.matrices[2 * a - 1] == ((0,),)
+        assert matrices[2 * a] == ((a % 3,),)
+        assert matrices[2 * a - 1] == ((0,),)
+    assert list(matrices) == list(range(1, 13))
 
 
 def _survivor_oracle(p, deg, degree):
@@ -88,7 +134,8 @@ def test_first_page_homology_against_congruence_oracle(p, deg):
     bound = 4 * deg * p
     model = build_model(ModelKind.TYPE1, p, deg, bound)
     (page,) = compute_page(model, 1)
-    dims = page_homology_dims(page, bound - 1)
+    dims = _dims(page_homology_dims(page, bound - 1))
+    assert set(dims) == set(_expand(page)[0]) - {bound}
     for degree in range(bound):
         assert dims.get(degree, 0) == _survivor_oracle(p, deg, degree), (p, deg, degree)
 
@@ -98,7 +145,7 @@ def test_variant_exterior_exponent_is_wrong():
     # 5 = deg*p - 1; an exterior generator y x in degree 3 would not match
     model = build_model(ModelKind.TYPE1, 3, 2, 12)
     (page,) = compute_page(model, 1)
-    dims = page_homology_dims(page, 11)
+    dims = _dims(page_homology_dims(page, 11))
     assert dims[5] == 1
     assert dims[3] == 0
 
@@ -108,12 +155,13 @@ def test_euler_characteristic_bookkeeping():
     model = build_model(ModelKind.TYPE1, 3, 2, 13)
     (page,) = compute_page(model, 1)
     top = model.max_degree
-    dims = page_homology_dims(page, top - 1)
+    monomials, matrices = _expand(page)
+    dims = _dims(page_homology_dims(page, top - 1))
     chi_h = sum((-1) ** d * dims[d] for d in range(top))
     chi_c = sum(
-        (-1) ** d * len(page.monomials.get(d, ())) for d in range(top)
+        (-1) ** d * len(monomials.get(d, ())) for d in range(top)
     )
-    top_rank = rank_mod_p(page.matrices.get(top, ()), 3)
+    top_rank = rank_mod_p(matrices.get(top, ()), 3)
     assert chi_h == chi_c - (-1) ** (top - 1) * top_rank
 
 
@@ -121,17 +169,20 @@ def test_later_pages_step_through_powers():
     model = build_model(ModelKind.TYPE1, 3, 2, 60)
     pages = compute_page(model, 3)
     assert [page.page_index for page in pages] == [1, 2, 3]
+    # runs step by the page period deg * p^r
+    assert [page.period for page in pages] == [6, 18, 54]
+    (page1, _), (page2, matrices2), (page3, _) = map(_expand, pages)
     # page 2: polynomial part on y^3, exterior partner y^2 x in degree 5
-    assert pages[1].monomials[0] == (Monomial(0, False),)
-    assert pages[1].monomials[6] == (Monomial(3, False),)
-    assert pages[1].monomials[5] == (Monomial(2, True),)
-    assert 2 not in pages[1].monomials
+    assert page2[0] == (Monomial(0, False),)
+    assert page2[6] == (Monomial(3, False),)
+    assert page2[5] == (Monomial(2, True),)
+    assert 2 not in page2
     # page 3: step 9, partner y^8 x in degree 17
-    assert pages[2].monomials[18] == (Monomial(9, False),)
-    assert pages[2].monomials[17] == (Monomial(8, True),)
+    assert page3[18] == (Monomial(9, False),)
+    assert page3[17] == (Monomial(8, True),)
     # page-2 differential: d(y^(3a)) = a y^(3a-1) x
-    assert pages[1].matrices[6] == ((1,),)
-    assert pages[1].matrices[18] == ((0,),)  # a = 3 dies mod 3
+    assert matrices2[6] == ((1,),)
+    assert matrices2[18] == ((0,),)  # a = 3 dies mod 3
     with pytest.raises(ValueError):
         compute_page(model, 0)
 
@@ -151,19 +202,19 @@ def test_closed_form_pages_verify(p, deg):
 def test_type2_collapses_to_one_class():
     model = build_model(ModelKind.TYPE2, 3, 2, 24)
     pages = compute_page(model, 3)
-    dims = page_homology_dims(pages[0], 23)
+    dims = _dims(page_homology_dims(pages[0], 23))
     assert dims[0] == 1
     assert all(dims.get(d, 0) == 0 for d in range(1, 24))
     for page in pages[1:]:
-        assert page.monomials == {0: (Monomial(0, False),)}
-        assert page.matrices == {}
+        assert _expand(page) == ({0: (Monomial(0, False),)}, {})
+        assert page.runs == (Run(range(1), range(1), False, None),)
     report = verify_closed_form_pages(model, 3)
     assert report.mismatches == {2: 0, 3: 0}
     assert report.rows == ((2, 0, 1, 1), (3, 0, 1, 1))
 
 
-def test_each_block_is_row_reduced_once(monkeypatch):
-    # a block's rank serves both the degree it leaves and the one it enters
+def test_each_distinct_block_is_row_reduced_once(monkeypatch):
+    # a block's rank serves every degree it leaves and every one it enters
     model = build_model(ModelKind.TYPE1, 3, 4, 60)
     (page,) = compute_page(model, 1)
     seen = []
@@ -173,10 +224,27 @@ def test_each_block_is_row_reduced_once(monkeypatch):
         return rank_mod_p(matrix, p)
 
     monkeypatch.setattr(bockstein, "rank_mod_p", counting_rank)
-    dims = page_homology_dims(page, 59)
-    assert len(seen) == sum(degree <= 60 for degree in page.matrices)
-    # only the degrees that carry a monomial appear
-    assert set(dims) == set(page.monomials) - {60}
+    dims = _dims(page_homology_dims(page, 59))
+    monomials, matrices = _expand(page)
+    assert sorted(seen) == sorted(set(matrices.values()))
+    # d(y^a) = a y^(a-1) x for a = 0, 1, 2 mod 3, and the empty block
+    # leaving y^a x (nothing sits one degree below it at deg = 4)
+    assert len(seen) == 4
+    # only the degrees that carry a monomial appear, each with the
+    # dimension that its own two ranks give
+    assert set(dims) == set(monomials) - {60}
+    for degree, dim in dims.items():
+        out = rank_mod_p(matrices.get(degree, ()), 3)
+        into = rank_mod_p(matrices.get(degree + 1, ()), 3)
+        assert dim == 1 - out - into, degree
+    # blocks are told apart by their entries: two equal blocks that are
+    # separate objects are reduced once, a block with other entries apart
+    one, same, zero, two = ((1,),), ((1,),), ((0,),), ((2,),)
+    seen.clear()
+    forged = _forged(1, 5, {0: None, 1: one, 2: zero, 3: same, 4: zero, 5: two})
+    dims = _dims(page_homology_dims(forged, 4))
+    assert sorted(seen) == [zero, one, two]
+    assert dims == {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}
 
 
 def test_report_keeps_only_nonzero_degrees_and_counts_mismatches(monkeypatch):
@@ -202,17 +270,10 @@ def test_dd_zero_guard_trips_on_forged_page():
     # matrices that compose to a nonzero map must be rejected
     from kverify.bockstein import _check_dd_zero
 
-    forged = PageBasis(
-        page_index=1,
-        prime=3,
-        monomials={
-            0: (Monomial(0, False),),
-            1: (Monomial(0, True),),
-            2: (Monomial(1, False),),
-        },
-        matrices={1: ((1,),), 2: ((1,),)},
-    )
-    with pytest.raises(ArithmeticError):
+    one = ((1,),)
+    forged = _forged(1, 3, {0: None, 1: one, 2: one})
+    assert len(forged.runs) == 2
+    with pytest.raises(ArithmeticError, match=r"at degree 2 on page 1"):
         _check_dd_zero(forged)
 
 
@@ -263,17 +324,18 @@ def test_pages_match_dense_builder(kind, p, deg):
     pages = compute_page(build_model(kind, p, deg, bound), 3)
     for r, page in enumerate(pages, start=1):
         monomials, matrices = _dense_page(kind, p, deg, bound, r)
-        assert list(page.monomials) == list(monomials), (r, "degrees")
-        assert page.monomials == monomials, r
-        assert list(page.matrices) == list(matrices), (r, "block degrees")
-        assert page.matrices == matrices, r
+        got_monomials, got_matrices = _expand(page)
+        assert list(got_monomials) == list(monomials), (r, "degrees")
+        assert got_monomials == monomials, r
+        assert list(got_matrices) == list(matrices), (r, "block degrees")
+        assert got_matrices == matrices, r
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_equal_blocks_of_a_page_are_one_object(kind):
     p = 7
     (page,) = compute_page(build_model(kind, p, 4, 2 * 4 * p**3), 1)
-    blocks = list(page.matrices.values())
+    blocks = list(_expand(page)[1].values())
     by_content = {}
     for block in blocks:
         assert by_content.setdefault(block, block) is block
@@ -284,9 +346,28 @@ def test_equal_blocks_of_a_page_are_one_object(kind):
 def test_image_outside_target_basis_raises():
     # d(y) = x, but the forged basis one degree down holds y^5 x instead
     model = build_model(ModelKind.TYPE1, 3, 2, 4)
-    forged = {0: (Monomial(0, False),), 1: (Monomial(5, True),), 2: (Monomial(1, False),)}
-    with pytest.raises(ValueError):
-        bockstein._page_matrices(model, 1, forged)
+    page = bockstein._page_runs(model, 1)
+    assert bockstein._page_blocks(model, page).runs  # the true basis passes
+    forged = [run._replace(powers=range(5, 6)) if run.degrees.start == 1 else run for run in page.runs]
+    with pytest.raises(ValueError, match=r"image of Monomial\(power=1, aux=False\)"):
+        bockstein._page_blocks(model, replace(page, runs=tuple(forged)))
+    # a run whose image lands only in part is refused: y^4 x in degree 9 of
+    # a bound-18 page is forged as y^5 x inside its run, so the middle term
+    # of the run y^2, y^5, y^8 maps outside the basis
+    model = build_model(ModelKind.TYPE1, 3, 2, 18)
+    page = bockstein._page_runs(model, 1)
+    odd = next(run for run in page.runs if 9 in run.degrees)
+    index = odd.degrees.index(9)
+    assert 0 < index < len(odd.degrees) - 1  # the forged degree is inside its run
+    bent = odd._replace(degrees=odd.degrees[:index], powers=odd.powers[:index])
+    rest = odd._replace(degrees=odd.degrees[index + 1 :], powers=odd.powers[index + 1 :])
+    moved = Run(range(9, 10), range(5, 6), True, None)
+    forged = sorted(
+        [run for run in page.runs if run is not odd] + [bent, moved, rest],
+        key=lambda run: run.degrees.start,
+    )
+    with pytest.raises(ValueError, match=r"Monomial\(power=5, aux=False\).*degree 9 on"):
+        bockstein._page_blocks(model, replace(page, runs=tuple(forged)))
 
 
 def test_dd_zero_guard_names_first_failing_degree_of_a_repeated_pair():
@@ -295,19 +376,22 @@ def test_dd_zero_guard_names_first_failing_degree_of_a_repeated_pair():
     one, zero = ((1,),), ((0,),)
     # the failing pair (one, one) composes at degrees 4, 5 and 6 (d from
     # degree k + 1 to k - 1); the pairs before it vanish
-    matrices = {1: one, 2: zero, 3: one, 4: one, 5: one, 6: one}
-    forged = PageBasis(
-        page_index=2,
-        prime=5,
-        monomials={degree: (Monomial(degree, False),) for degree in range(7)},
-        matrices=matrices,
-    )
+    blocks = {0: None, 1: one, 2: zero, 3: one, 4: one, 5: one, 6: one}
+    forged = _forged(2, 5, blocks)
+    assert _expand(forged)[1] == {k: v for k, v in blocks.items() if v is not None}
     with pytest.raises(ArithmeticError, match=r"at degree 4 on page 2"):
         _check_dd_zero(forged)
     # the same pair repeated only from degree 5 on is named at degree 5
-    matrices[3] = zero
+    blocks[3] = zero
     with pytest.raises(ArithmeticError, match=r"at degree 5 on page 2"):
-        _check_dd_zero(forged)
+        _check_dd_zero(_forged(2, 5, blocks))
+    # two runs fail, each inside itself ((one, one) from degree 2 and
+    # (two, two) at degree 5, as 2 * 2 = 1 mod 3): the lower one is named
+    two = ((2,),)
+    with pytest.raises(ArithmeticError, match=r"at degree 2 on page 1"):
+        _check_dd_zero(_forged(1, 3, {0: None, 1: one, 2: one, 3: zero, 4: two, 5: two}))
+    with pytest.raises(ArithmeticError, match=r"at degree 5 on page 1"):
+        _check_dd_zero(_forged(1, 3, {0: None, 1: one, 2: zero, 3: zero, 4: two, 5: two}))
 
 
 def _span_rank(matrix, p):
@@ -339,3 +423,45 @@ def test_rank_mod_p_matches_row_space_size(p):
         if nrows >= 2 and rng.random() < 0.3:
             matrix = matrix + (tuple(3 * entry for entry in matrix[0]),)
         assert rank_mod_p(matrix, p) == _span_rank(matrix, p), matrix
+
+
+def _dense_report(kind, p, deg, max_degree, max_page):
+    """(rows, mismatches) of the page report, degree by degree from the
+    dense pages: one rank_mod_p per degree, each degree's dimension its
+    basis size minus the ranks leaving and entering it."""
+    band = max_degree - 1
+    pages = [_dense_page(kind, p, deg, max_degree, r) for r in range(1, max_page + 1)]
+    rows, mismatches = [], {}
+    for target in range(2, max_page + 1):
+        monomials, matrices = pages[target - 2]
+        ranks = {degree: rank_mod_p(block, p) for degree, block in matrices.items()}
+        predicted = pages[target - 1][0]
+        mismatches[target] = 0
+        for degree in range(band + 1):
+            have = len(monomials.get(degree, ())) - ranks.get(degree, 0) - ranks.get(degree + 1, 0)
+            want = len(predicted.get(degree, ()))
+            if have or want:
+                rows.append((target, degree, have, want))
+                mismatches[target] += have != want
+    return tuple(rows), mismatches
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("p,deg", [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (5, 6)])
+def test_report_matches_dense_pages_at_every_bound(kind, p, deg):
+    # the bounds from one generator degree to one past two periods of page
+    # 2 (deg p^2) end each run of pages 1 and 2 at every offset, and start
+    # or leave out the runs of pages 3 and 4
+    for bound in range(deg, 2 * deg * p**2 + deg + 1):
+        report = verify_closed_form_pages(build_model(kind, p, deg, bound), 4)
+        assert (report.rows, report.mismatches) == _dense_report(kind, p, deg, bound, 4), bound
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_pages_hold_a_few_runs_not_a_run_per_degree(kind):
+    # about 2p runs on each page, however many degrees they cover
+    p = 31
+    pages = compute_page(build_model(kind, p, 2, 2 * 2 * p**3), 3)
+    assert sum(len(run.degrees) for run in pages[0].runs) == 2 * 2 * p**3 + 1 - (kind is ModelKind.TYPE2)
+    for page in pages:
+        assert len(page.runs) <= 2 * p + 2

@@ -490,7 +490,9 @@ def test_json_byte_stable_apart_from_timing(capsys):
 # wide bockstein run, captured before the page builder shared its blocks,
 # reaches 119,165 degrees at p = 31; the two bernoulli runs, captured before
 # the series kernels and the recurrence summed over a common denominator,
-# are the bernoulli-wide benchmark input and the n_max ceiling.
+# are the bernoulli-wide benchmark input and the n_max ceiling; the last two,
+# captured before the pages were stored as arithmetic runs, reach page 64
+# at p = 31 and a degree bound below one period of the first page.
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
@@ -534,6 +536,20 @@ GOLDEN_OUTPUTS = [
         401,
         277301,
     ),
+    (
+        ["bockstein", "--prime", "31", "--pages", "64", "--json"],
+        None,
+        "e62dc612ed27373506b2616929886019d1feca13dc72424a7009afc8a6f08003",
+        4221,
+        1122784,
+    ),
+    (
+        ["bockstein", "--prime", "3", "--deg", "4", "--max-deg", "7", "--pages", "64", "--json"],
+        None,
+        "b488817b5869c4788c0d8031ada575e1c05ac43ea7cd719003339542f0258270",
+        252,
+        66505,
+    ),
 ]
 
 
@@ -547,6 +563,8 @@ GOLDEN_OUTPUTS = [
         "bockstein-p31-pages3",
         "bernoulli-n80",
         "bernoulli-n200",
+        "bockstein-p31-pages64",
+        "bockstein-p3-deg4-maxdeg7-pages64",
     ],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):

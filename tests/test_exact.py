@@ -13,7 +13,6 @@ import pytest
 
 from kverify import exact, series
 from kverify.exact import (
-    INFINITE,
     ValuationCheck,
     bernoulli,
     bernoulli_recursive,
@@ -195,8 +194,11 @@ def test_vp_basics():
     assert vp(Fraction(-8), 2) == 3
 
 
-def test_vp_zero_is_infinite():
-    assert vp(0, 7) == INFINITE
+def test_vp_zero_raises():
+    with pytest.raises(ValueError, match="valuation of zero"):
+        vp(0, 7)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        vp(Fraction(0, 5), 3)
 
 
 def test_vp_needs_prime():
