@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from . import series
 from .exact import bernoulli
@@ -61,27 +62,27 @@ def ch(f: KClass, order: int | None = None) -> KClass:
 def psi_H(k: int, c: KClass) -> KClass:
     """Adams operation on cohomology: e^n is scaled by k^n."""
     return KClass(
-        [coeff * Fraction(k) ** n for n, coeff in enumerate(c.coeffs)],
-        c.truncation,
-        c.claim,
+        [x * k**n for n, x in enumerate(c.nums)], c.truncation, c.claim, den=c.den
     )
 
 
-@lru_cache(maxsize=None)
+_SURJECTION_ROWS = [(1,)]
+
+
 def _surjections(m: int) -> tuple[int, ...]:
     """(j! S(m, j) for j = 0..m): the surjections from an m-set onto a j-set.
 
     In a surjection the last element shares one of j targets with the rest,
     which already cover all j, or is alone on it while the rest cover the
-    other j - 1: a(m, j) = j (a(m-1, j) + a(m-1, j-1)).  The rows are built
-    in a loop rather than by recursion, so large m cannot hit the recursion
-    limit.
+    other j - 1: a(m, j) = j (a(m-1, j) + a(m-1, j-1)).  Each row is built
+    from the cached row before it, in a loop rather than by recursion, so a
+    first request for a large m cannot hit the recursion limit.
     """
-    row = (1,)
-    for size in range(1, m + 1):
-        prev = row + (0,)
-        row = (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, size + 1))
-    return row
+    rows = _SURJECTION_ROWS
+    while len(rows) <= m:
+        prev = rows[-1] + (0,)
+        rows.append((0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, len(prev))))
+    return rows[m]
 
 
 def s_eval(m: int, f: KClass) -> Fraction:
@@ -89,7 +90,9 @@ def s_eval(m: int, f: KClass) -> Fraction:
 
     Computed as sum_{j<=m} c_j j! S(m, j): u^j = (exp(e) - 1)^j starts at e^j
     and its e^m coefficient times m! is the surjection count j! S(m, j), so
-    only c_0..c_m contribute.  Like ch, m above the truncation is an error.
+    only c_0..c_m contribute.  That is one integer dot product of the
+    numerators with the surjection row, over the class's denominator.  Like
+    ch, m above the truncation is an error.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -98,7 +101,7 @@ def s_eval(m: int, f: KClass) -> Fraction:
             f"order {m} exceeds truncation {f.truncation}; the discarded "
             f"u-powers would contribute"
         )
-    return sum((c * a for c, a in zip(f.coeffs, _surjections(m))), Fraction(0))
+    return Fraction(sum(map(mul, f.nums, _surjections(m))), f.den)
 
 
 def bh(order: int) -> KClass:

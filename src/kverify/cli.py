@@ -69,10 +69,11 @@ DEFAULTS = {
 
 # (minimum, ceiling) of each setting; an entry of `primes` is a `prime`.
 # The ceilings bound the inputs whose cost grows without bound, each above
-# every documented use: is_prime is trial division and the akita
-# certificate needs B_p (about 1 s at p = 199), r_line_conjugate sums k line
-# powers, `bernoulli --n-max 200` takes about 1 s (`theorem-a` about 7 s,
-# `eigenvalue` about 11 s), `artin-hasse --truncation 128` about 3 s and
+# every documented use (one fresh process each, 2-vCPU host, Python 3.11.7):
+# is_prime is trial division and the akita certificate needs B_p (0.4 s at
+# p = 199), r_line_conjugate inverts a k-term series (`eigenvalue --k 999
+# --n-max 200` 12 s), `bernoulli`, `theorem-a` and `eigenvalue` at `--n-max
+# 200` take 0.5, 0.7 and 1 s, `artin-hasse --truncation 128` 0.25 s and
 # `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds the page
 # engine's degrees, given or its default 2 deg p^3 (119,164 in `bockstein
 # --prime 31`), and deg cannot exceed it; the engine walks a few runs per

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from operator import add
 
 from . import series
 from .exact import is_prime, vp
@@ -47,19 +49,13 @@ class IntegralityViolation(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _substitution_matrix(k: int, truncation: int) -> tuple[tuple[int, ...], ...]:
-    """Row j holds the coefficients of ((1+u)^k - 1)^j mod u^(N+1)."""
-    shifted = [c.numerator for c in line_power(k, truncation).coeffs]
+    """Row j: ((1+u)^k - 1)^j mod u^(N+1), from u^j on (the lower terms vanish)."""
+    shifted = list(line_power(k, truncation).nums)
     shifted[0] -= 1
     rows = [(1,) + (0,) * truncation]
     for _ in range(truncation):
-        prev = rows[-1]
-        rows.append(
-            tuple(
-                sum(prev[i] * shifted[n - i] for i in range(n + 1))
-                for n in range(truncation + 1)
-            )
-        )
-    return tuple(rows)
+        rows.append(series.mul(rows[-1], shifted, truncation))
+    return tuple(row[j:] for j, row in enumerate(rows))
 
 
 def psi(k: int, f: KClass) -> KClass:
@@ -68,20 +64,19 @@ def psi(k: int, f: KClass) -> KClass:
     Defined for any nonzero integer k (negative k through the integral
     expansion of (1+u)^k that line_power uses).  The substitution is a fixed
     integer matrix, cached per (k, N), whose row j is ((1+u)^k - 1)^j; the
-    result is the coefficient vector times that matrix.  Coefficients of
-    the result are integer combinations of the input coefficients, so the
-    claim is preserved and validated once, on the result.
+    result's numerators are the class's numerators times that matrix, over
+    the class's denominator.  Coefficients of the result are integer
+    combinations of the input coefficients, so the claim is preserved and
+    validated once, on the result.
     """
     if k == 0:
         raise ValueError("psi^0 is not an operation on these classes")
     rows = _substitution_matrix(k, f.truncation)
-    out = [Fraction(0)] * (f.truncation + 1)
-    for c, row in zip(f.coeffs, rows):
+    out = [0] * (f.truncation + 1)
+    for j, (c, row) in enumerate(zip(f.nums, rows)):
         if c:
-            for n, a in enumerate(row):
-                if a:
-                    out[n] += c * a
-    return KClass(out, f.truncation, f.claim)
+            out[j:] = map(add, out[j:], map(c.__mul__, row))
+    return KClass(out, f.truncation, f.claim, den=f.den)
 
 
 def psi_on_suspension(k: int, s: SuspensionClass) -> SuspensionClass:
@@ -93,28 +88,24 @@ def rho_line(k: int, a: int, truncation: int) -> KClass:
     """(1/k) * (1 + L^a + L^(2a) + ... + L^((k-1)a)), with k inverted."""
     if k < 1:
         raise ValueError("k must be positive")
-    total = KClass.zero(truncation, INTEGRAL)
-    for j in range(k):
-        total = total + line_power(a * j, truncation)
-    return (total * Fraction(1, k)).with_claim(k_inverted(k))
+    total = sum((line_power(a * j, truncation) for j in range(k)), KClass.zero(truncation))
+    return KClass(total.nums, truncation, k_inverted(k), den=k)
 
 
 def r_line_conjugate(k: int, truncation: int) -> KClass:
     """The weighted average sum((k-1-i) L^i, i<k-1) / sum(L^i, i<k).
 
-    Augmentation is (k-1)/2.  The numerator satisfies the exact polynomial
-    identity (L - 1) * numerator = denominator - k, which the tests use as
-    an algebra-level check independent of any series expansion.
+    Both sums are binomial rows by the hockey-stick identity: C(k, j+2) and
+    C(k, j+1) at u^j.  Augmentation is (k-1)/2.  The numerator satisfies the
+    exact polynomial identity (L - 1) * numerator = denominator - k, which
+    the tests use as an algebra-level check independent of any series
+    expansion, with both sums rebuilt there from line powers.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    num = KClass.zero(truncation, INTEGRAL)
-    for i in range(k - 1):
-        num = num + (k - 1 - i) * line_power(i, truncation)
-    den = KClass.zero(truncation, INTEGRAL)
-    for i in range(k):
-        den = den + line_power(i, truncation)
-    return num * den.with_claim(k_inverted(k)).invert()
+    num = KClass([comb(k, j + 2) for j in range(truncation + 1)], truncation, INTEGRAL, den=1)
+    den = KClass([comb(k, j + 1) for j in range(truncation + 1)], truncation, k_inverted(k), den=1)
+    return num * den.invert()
 
 
 def r_virtual_conjugate_minus_one(k: int, truncation: int) -> KClass:
@@ -130,14 +121,13 @@ def r_virtual_conjugate_minus_one(k: int, truncation: int) -> KClass:
 
 
 def _divide_p_power(f: KClass, p: int, t: int) -> KClass:
-    """f / p^t, raising IntegralityViolation unless every coefficient allows it."""
-    power = p**t
-    out = []
-    for i, c in enumerate(f.coeffs):
-        if c != 0 and vp(c, p) < t:
-            raise IntegralityViolation(p, t, i, c)
-        out.append(c / power)
-    return KClass(out, f.truncation, p_local(p))
+    """f / p^t, raising IntegralityViolation unless every coefficient x/d
+    allows it: v_p(x) - v_p(d) >= t, that is p^(t + v_p(d)) divides x."""
+    step = p ** (t + vp(f.den, p))
+    for i, x in enumerate(f.nums):
+        if x % step:
+            raise IntegralityViolation(p, t, i, Fraction(x, f.den))
+    return KClass(f.nums, f.truncation, p_local(p), den=f.den * p**t)
 
 
 def _check_theta_input(p: int, t: int, claim) -> None:

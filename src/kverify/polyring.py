@@ -1,15 +1,19 @@
 """Truncated polynomial model of the K-theory of a complex projective space.
 
 K(CP^N) is Z[u]/(u^(N+1)) for u = L - 1, with L the tautological line class.
-A KClass stores exact rational coefficients (c_0, ..., c_N) in the u basis
-together with a domain claim: a validated statement about where those
-coefficients live (integers, p-local integers, integers with k inverted, or
-plain rationals).  Claims are predicates re-checked against the actual
-coefficients on every construction; they are bookkeeping, never a change of
-representation.  Each coefficient is coerced to Fraction once, in
-series.fit, which passes a Fraction through untouched, so the results of
-the series kernels are not coerced again.  The claim check is never
-skipped: it runs on every coefficient of every construction.
+A KClass stores its coefficients (c_0, ..., c_N) in the u basis as integer
+numerators over one positive denominator, in lowest terms, so ring
+operations are integer operations and a Fraction is built only when a
+coefficient is read.  Each class carries a domain claim: a validated
+statement about where the coefficients live (integers, p-local integers,
+integers with k inverted, or plain rationals), bookkeeping, never a change
+of representation.  The claim is checked on every construction, by one test
+of the denominator: in lowest terms it is the lcm of the coefficients'
+denominators, and each claim is a condition on the primes of a denominator
+that holds for all of them exactly when it holds for their lcm (integral:
+the lcm is 1; p-local: p does not divide it; k-inverted: each of its primes
+divides k).  Only a failed test walks the coefficients, to name the first
+offender.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import series
 from .exact import frac_str, is_prime
@@ -45,14 +49,9 @@ class DomainClaimError(ValueError):
 
 
 def _only_primes_of(n: int, k: int) -> bool:
-    # every prime factor of n divides k
+    # every prime of n divides k exactly when n divides k^e for k^e >= n
     n = abs(n)
-    while n > 1:
-        g = gcd(n, k)
-        if g == 1:
-            return False
-        n //= g
-    return True
+    return n <= 1 or pow(k, n.bit_length(), n) == 0
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ class Claim:
             raise ValueError(f"unknown claim kind {self.kind!r}")
 
     def admits(self, q: Fraction) -> bool:
-        if type(q) is not Fraction:
-            q = Fraction(q)
+        q = Fraction(q)
         if self.kind == "integral":
             return q.denominator == 1
         if self.kind == "p-local":
@@ -149,55 +147,79 @@ def _scalar_claim(q: Fraction) -> Claim:
 class KClass:
     """Element of Q[u]/(u^(N+1)) carrying a validated domain claim.
 
+    ``KClass(coeffs, N, claim)`` takes rational coefficients, and
+    ``KClass(nums, N, claim, den=d)`` integer numerators over d >= 1.
+
     Instances are immutable by convention.  Equality and hashing compare
     truncation and coefficients only; the claim is metadata about where the
-    coefficients live, not part of the ring value.
+    coefficients live, not part of the ring value.  A class with no u-terms
+    equals its constant term and hashes like it.
     """
 
-    __slots__ = ("truncation", "coeffs", "claim")
+    __slots__ = ("truncation", "nums", "den", "claim")
 
-    def __init__(self, coeffs, truncation: int | None = None, claim: Claim = RATIONAL):
+    def __init__(self, coeffs, truncation: int | None = None, claim: Claim = RATIONAL, *, den=None):
         if truncation is None:
             truncation = max(len(coeffs) - 1, 0)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        fitted = series.fit(coeffs, truncation)
-        for i, c in enumerate(fitted):
-            if not claim.admits(c):
-                raise DomainClaimError(
-                    f"coefficient {frac_str(c)} of u^{i} violates claim {claim.label()}"
-                )
+        if den is None:
+            qs = [Fraction(c) for c in coeffs][: truncation + 1]
+            den = lcm(*(q.denominator for q in qs))
+            nums = [q.numerator * (den // q.denominator) for q in qs]
+        elif den < 1:
+            raise ValueError("the denominator must be positive")
+        else:
+            nums = list(coeffs[: truncation + 1])
+        nums.extend([0] * (truncation + 1 - len(nums)))
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+        if not claim.admits(Fraction(1, den)):
+            for i, x in enumerate(nums):
+                c = Fraction(x, den)
+                if not claim.admits(c):
+                    raise DomainClaimError(
+                        f"coefficient {frac_str(c)} of u^{i} violates claim {claim.label()}"
+                    )
         self.truncation = truncation
-        self.coeffs = fitted
+        self.nums = tuple(nums)
+        self.den = den
         self.claim = claim
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, truncation: int, claim: Claim = INTEGRAL) -> "KClass":
-        return cls([0], truncation, claim)
+        return cls((), truncation, claim, den=1)
 
     @classmethod
     def one(cls, truncation: int, claim: Claim = INTEGRAL) -> "KClass":
-        return cls([1], truncation, claim)
+        return cls((1,), truncation, claim, den=1)
 
     @classmethod
     def constant(cls, q, truncation: int, claim: Claim | None = None) -> "KClass":
         q = Fraction(q)
-        return cls([q], truncation, claim if claim is not None else _scalar_claim(q))
+        return cls((q.numerator,), truncation, claim or _scalar_claim(q), den=q.denominator)
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def augmentation(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def with_claim(self, claim: Claim) -> "KClass":
         """Re-house the same element under another (validated) claim."""
-        return KClass(self.coeffs, self.truncation, claim)
+        return KClass(self.nums, self.truncation, claim, den=self.den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -210,10 +232,13 @@ class KClass:
     def __add__(self, other):
         if isinstance(other, KClass):
             self._match(other)
+            d = lcm(self.den, other.den)
+            sa, sb = d // self.den, d // other.den
             return KClass(
-                series.add(self.coeffs, other.coeffs),
+                [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
                 self.truncation,
                 self.claim.join(other.claim),
+                den=d,
             )
         if isinstance(other, (int, Fraction)):
             return self + KClass.constant(other, self.truncation)
@@ -222,7 +247,7 @@ class KClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return KClass(series.neg(self.coeffs), self.truncation, self.claim)
+        return KClass([-x for x in self.nums], self.truncation, self.claim, den=self.den)
 
     def __sub__(self, other):
         if isinstance(other, (KClass, int, Fraction)):
@@ -233,16 +258,18 @@ class KClass:
         if isinstance(other, KClass):
             self._match(other)
             return KClass(
-                series.mul(self.coeffs, other.coeffs, self.truncation),
+                series.mul(self.nums, other.nums, self.truncation),
                 self.truncation,
                 self.claim.join(other.claim),
+                den=self.den * other.den,
             )
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return KClass(
-                series.scale(self.coeffs, q),
+                [x * q.numerator for x in self.nums],
                 self.truncation,
                 self.claim.join(_scalar_claim(q)),
+                den=self.den * q.denominator,
             )
         return NotImplemented
 
@@ -283,14 +310,17 @@ class KClass:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, KClass):
-            return self.truncation == other.truncation and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == series.fit([Fraction(other)], self.truncation)
+            other = KClass.constant(other, self.truncation)
+        if isinstance(other, KClass):
+            key = (other.truncation, other.den, other.nums)
+            return (self.truncation, self.den, self.nums) == key
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.truncation, self.coeffs))
+        if any(self.nums[1:]):
+            return hash((self.truncation, self.den, self.nums))
+        return hash(Fraction(self.nums[0], self.den))  # a constant hashes like its value
 
     def __repr__(self):
         body = ", ".join(frac_str(c) for c in self.coeffs)
@@ -303,7 +333,7 @@ def line_power(a: int, truncation: int, claim: Claim = INTEGRAL) -> KClass:
         coeffs = [comb(a, i) for i in range(min(a, truncation) + 1)]
     else:
         coeffs = [(-1) ** i * comb(-a + i - 1, i) for i in range(truncation + 1)]
-    return KClass(coeffs, truncation, claim)
+    return KClass(coeffs, truncation, claim, den=1)
 
 
 class SuspensionClass:

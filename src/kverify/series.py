@@ -5,15 +5,12 @@ Nothing here knows about K-theory; these are the shared arithmetic kernels
 for the Bernoulli expansion, the truncated polynomial ring and the Chern
 character module.
 
-fit is where other numbers become Fractions.  It passes a value that is a
-Fraction already through untouched, so each coefficient is coerced once.
-
-mul and inv never add two Fractions.  Each scales its inputs once to integer
-numerators over the lcm of their denominators, sums integer products, and
-builds one Fraction per output coefficient, so every coefficient is
-normalised once instead of once per product.  inv also keeps the
-coefficients it has found as integers over one running denominator, and
-rescales them once whenever a new coefficient widens it.
+mul is the one convolution kernel: integers in, integers out, as KClass
+products call it on their numerators.  compose, log1 and inv scale their
+Fraction inputs once to integer numerators over one denominator and build
+one Fraction per output coefficient, so every coefficient is normalised
+once instead of once per product.  inv also keeps the coefficients it has
+found over one running denominator, rescaled when a new one widens it.
 """
 
 from __future__ import annotations
@@ -25,32 +22,7 @@ from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-
-
-def fit(coeffs: Iterable[Fraction | int], order: int) -> Coeffs:
-    """Pad with zeros, or drop terms above the order (reduction mod x^(order+1))."""
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs][: order + 1]
-    out.extend([_ZERO] * (order + 1 - len(out)))
-    return tuple(out)
-
-
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    if len(a) != len(b):
-        raise ValueError("series order mismatch: %d vs %d" % (len(a) - 1, len(b) - 1))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def neg(a: Sequence[Fraction]) -> Coeffs:
-    return tuple(-x for x in a)
-
-
-def scale(a: Sequence[Fraction], q: Fraction | int) -> Coeffs:
-    q = Fraction(q)
-    return tuple(q * x for x in a)
-
-
-def _over_lcm(coeffs: Coeffs) -> tuple[list[int], int]:
+def _over_lcm(coeffs: Iterable[Fraction | int]) -> tuple[list[int], int]:
     """(numerators, d): integers whose quotients by d are the coefficients,
     d the lcm of their denominators, with trailing zeros dropped."""
     qs = list(coeffs)
@@ -60,24 +32,23 @@ def _over_lcm(coeffs: Coeffs) -> tuple[list[int], int]:
     return [q.numerator * (d // q.denominator) for q in qs], d
 
 
-def mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Coeffs:
-    na, da = _over_lcm(fit(a, order))
-    nb, db = _over_lcm(fit(b, order))
+def mul(a: Sequence, b: Sequence, order: int) -> tuple:
+    """Product mod x^(order+1) by convolution, skipping zero terms; integer
+    inputs give integer outputs."""
     out = [0] * (order + 1)
-    for i, x in enumerate(na):
+    for i, x in enumerate(a[: order + 1]):
         if x:
-            for k, y in enumerate(nb[: order + 1 - i], i):
+            for k, y in enumerate(b[: order + 1 - i], i):
                 if y:
                     out[k] += x * y
-    d = da * db
-    return tuple(Fraction(c, d) if c else _ZERO for c in out)
+    return tuple(out)
 
 
 def inv(a: Sequence[Fraction], order: int) -> Coeffs:
     """Multiplicative inverse; the constant term must be nonzero."""
     if not a or a[0] == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    na, da = _over_lcm(fit(a, order))
+    na, da = _over_lcm(a[: order + 1])
     # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (na[0] e)
     # for out[i] = nout[i] / e; rna holds na[1:] reversed.
     rna = na[:0:-1]
@@ -97,32 +68,37 @@ def inv(a: Sequence[Fraction], order: int) -> Coeffs:
 
 
 def compose(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> Coeffs:
-    """f(g(x)) by Horner; g must have zero constant term."""
+    """f(g(x)) by Horner; g must have zero constant term.  For f = nf/df and
+    g = ng/dg the partial sum is acc/(df dg^t), and a step takes acc to
+    acc ng + c dg^(t+1) for the next numerator c of f."""
     if g and g[0] != 0:
         raise ValueError("composition needs a series with zero constant term")
-    acc = fit([f[-1]] if f else [0], order)
-    for i in range(len(f) - 2, -1, -1):
-        acc = mul(acc, g, order)
-        acc = add(acc, fit([f[i]], order))
-    return acc
+    nf, df = _over_lcm(f)
+    ng, dg = _over_lcm(g[: order + 1])
+    acc, scale = [0] * (order + 1), 1
+    for c in reversed(nf):
+        acc = list(mul(acc, ng, order))
+        scale *= dg
+        acc[0] += c * scale
+    return tuple(Fraction(x, df * scale) for x in acc)
 
 
 def log1(a: Sequence[Fraction], order: int) -> Coeffs:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1: for a = 1 + nw/dw, the sum of
+    (-1)^(m-1) nw^m / (m dw^m) over the denominator lcm(1..order) dw^order."""
     if not a or a[0] != 1:
         raise ValueError("log needs constant term 1")
-    w = fit([0, *a[1:]], order)
-    out = [_ZERO] * (order + 1)
-    wpow = fit([1], order)
+    nw, dw = _over_lcm([0, *a[1 : order + 1]])
+    d = lcm(*range(1, order + 1)) * dw**order
+    out = [0] * (order + 1)
+    wpow = (1,)
     for m in range(1, order + 1):
-        wpow = mul(wpow, w, order)
-        term = Fraction((-1) ** (m - 1), m)
-        for i, c in enumerate(wpow):
-            if c != 0:
-                out[i] += term * c
-    return tuple(out)
+        wpow = mul(wpow, nw, order)
+        term = (-1) ** (m - 1) * d // (m * dw**m)
+        out = [x + term * y for x, y in zip(out, wpow)]
+    return tuple(Fraction(x, d) for x in out)
 
 
 def exp_minus_one(order: int) -> Coeffs:
     """exp(x) - 1 through the given order."""
-    return tuple(Fraction(1, factorial(m)) if m >= 1 else _ZERO for m in range(order + 1))
+    return tuple(Fraction(1, factorial(m)) if m >= 1 else Fraction(0) for m in range(order + 1))

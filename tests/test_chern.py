@@ -1,12 +1,14 @@
 """Chern character, s-numbers, and the Bernoulli eigenvalue computations."""
 
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kverify import chern
 from kverify.chern import (
     bh,
     bh_log_identity_check,
@@ -84,6 +86,28 @@ def test_s_eval_matches_character_route(fm):
     # the surjection-number dot product against m! [e^m] of the full ch
     f, m = fm
     assert s_eval(m, f) == factorial(m) * ch(f, m).coeffs[m]
+
+
+def test_surjection_row_requested_first_at_399(monkeypatch):
+    # an empty cache and a recursion limit just above the caller's depth: a
+    # row built by recursion on m would fail here
+    monkeypatch.setattr(chern, "_SURJECTION_ROWS", [(1,)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        row = chern._surjections(399)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(row) == 400 and row[0] == 0
+    assert row[1] == 1 and row[2] == 2**399 - 2 and row[399] == factorial(399)
+    prev = chern._surjections(398) + (0,)
+    assert row == (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, 400))
+    # inclusion-exclusion: j! S(m, j) = sum_i (-1)^i C(j, i) (j - i)^m
+    for j in (3, 17, 200):
+        assert row[j] == sum((-1) ** i * comb(j, i) * (j - i) ** 399 for i in range(j + 1))
 
 
 def test_s_eval_window_edges():

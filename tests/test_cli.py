@@ -383,7 +383,7 @@ MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockst
 ALLOWED_UNREACHED = {
     "polyring.Claim.label": "runs only while building an error message",
     "polyring.KClass.__eq__": "tests compare ring values; report rows compare strings",
-    "polyring.KClass.__hash__": "kept consistent with __eq__, which tests call",
+    "polyring.KClass.__hash__": "tests hash classes; constants hash like the value they equal",
     "polyring.KClass.__repr__": "only test failure messages and debugging print classes",
     "polyring.SuspensionClass.__repr__": "only test failure messages and debugging print classes",
 }
@@ -550,6 +550,27 @@ GOLDEN_OUTPUTS = [
         252,
         66505,
     ),
+    (
+        ["theorem-a", "--n-max", "200", "--json"],
+        None,
+        "6c109943e1936f13a55c1bfe02a8dd8f805722c1170045b07b113b93d9478289",
+        800,
+        438429,
+    ),
+    (
+        ["eigenvalue", "--n-max", "200", "--json"],
+        None,
+        "aa835ddc3d3b19fba43936bdd5c79e0d9ee754a945a65d94dadca6529f640d9c",
+        400,
+        402148,
+    ),
+    (
+        ["artin-hasse", "--prime", "3", "--truncation", "128", "--json"],
+        None,
+        "45241b4e4d56f9411493e3225e17a685d32e744dcb1102ec6a6f980535ccfc10",
+        23,
+        43531,
+    ),
 ]
 
 
@@ -565,6 +586,9 @@ GOLDEN_OUTPUTS = [
         "bernoulli-n200",
         "bockstein-p31-pages64",
         "bockstein-p3-deg4-maxdeg7-pages64",
+        "theorem-a-n200",
+        "eigenvalue-n200",
+        "artin-hasse-p3-t128",
     ],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):

@@ -6,6 +6,7 @@ test only ever evaluates defining sums, so agreement is a real check.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -173,15 +174,19 @@ def test_conjugate_average_augmentation():
 
 def test_conjugate_average_polynomial_identity():
     # (L - 1) * numerator = denominator - k, checked at the polynomial level
-    # with numerator and denominator rebuilt here from scratch
-    for k in range(2, 8):
-        for truncation in (4, 8, 12):
+    # with numerator and denominator rebuilt here from scratch as sums of
+    # line powers, and checked against the binomial rows that replace them
+    for k in range(2, 16):
+        for truncation in (4, 8, 12, 16):
             num = KClass.zero(truncation, INTEGRAL)
             for i in range(k - 1):
                 num = num + (k - 1 - i) * line_power(i, truncation)
             den = KClass.zero(truncation, INTEGRAL)
             for i in range(k):
                 den = den + line_power(i, truncation)
+            rows = range(truncation + 1)
+            assert num == KClass([comb(k, j + 2) for j in rows], truncation)
+            assert den == KClass([comb(k, j + 1) for j in rows], truncation)
             u = line_power(1, truncation) - 1
             assert u * num == den - k, (k, truncation)
             assert r_line_conjugate(k, truncation) * den == num

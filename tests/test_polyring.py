@@ -1,11 +1,13 @@
 """Ring axioms and claim bookkeeping for the truncated polynomial model."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kverify.exact import frac_str
 from kverify.polyring import (
     INTEGRAL,
     RATIONAL,
@@ -158,16 +160,21 @@ def test_claim_validation_on_construction():
         KClass([Fraction(1, 2)], 1, INTEGRAL).with_claim(INTEGRAL)
 
 
-def test_coefficients_are_coerced_once_and_still_checked():
-    # ints and bools become Fractions, Fractions pass through unchanged, and
+def test_coefficients_are_read_as_fractions_and_still_checked():
+    # ints, bools and Fractions are stored as integer numerators over one
+    # denominator; coeffs reads them back as Fractions of the same value, and
     # a Fraction coefficient still meets the claim check like any other
     half = Fraction(1, 2)
     f = KClass([1, True, half, False], 5, RATIONAL)
+    assert (f.nums, f.den) == ((2, 2, 1, 0, 0, 0), 2)
     assert all(type(c) is Fraction for c in f.coeffs)
     assert f.coeffs == (1, 1, half, 0, 0, 0)
-    assert f.coeffs[2] is half
+    assert all(type(x) is int for x in f.nums)
     assert all(type(c) is Fraction for c in KClass.constant(3, 2).coeffs)
     assert all(type(c) is Fraction for c in (line_power(-1, 4) * 2).coeffs)
+    assert KClass([4, 6], 1, RATIONAL, den=4) == KClass([1, Fraction(3, 2)], 1)
+    with pytest.raises(ValueError):
+        KClass([1], 1, den=0)
     with pytest.raises(DomainClaimError):
         KClass([1, True, half], 3, INTEGRAL)
     with pytest.raises(DomainClaimError):
@@ -175,6 +182,80 @@ def test_coefficients_are_coerced_once_and_still_checked():
     with pytest.raises(DomainClaimError):
         (KClass([1, 2], 2, INTEGRAL) * half).with_claim(INTEGRAL)
     assert INTEGRAL.admits(True) and not INTEGRAL.admits(half)
+
+
+# -- one denominator --------------------------------------------------------
+
+some_claims = st.one_of(
+    st.just(INTEGRAL),
+    st.just(RATIONAL),
+    st.sampled_from([2, 3, 5, 7]).map(p_local),
+    st.integers(min_value=2, max_value=12).map(k_inverted),
+)
+claim_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(claim_fractions, min_size=1, max_size=7), some_claims)
+def test_denominator_check_matches_coefficient_check(coeffs, claim):
+    # the claim test of the one denominator accepts and rejects exactly what
+    # a test of each coefficient does, and names the same first offender
+    offender = next((i for i, c in enumerate(coeffs) if not claim.admits(c)), None)
+    if offender is None:
+        assert KClass(coeffs, len(coeffs) - 1, claim).coeffs == tuple(coeffs)
+        return
+    expected = (
+        f"coefficient {frac_str(coeffs[offender])} of u^{offender} "
+        f"violates claim {claim.label()}"
+    )
+    with pytest.raises(DomainClaimError) as raised:
+        KClass(coeffs, len(coeffs) - 1, claim)
+    assert str(raised.value) == expected
+
+
+def _lowest_terms(f: KClass) -> bool:
+    return f.den >= 1 and gcd(f.den, *f.nums) == 1 and len(f.nums) == f.truncation + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(kclass_tuples(count=2), small_fractions)
+def test_every_class_is_in_lowest_terms(fg, q):
+    f, g = fg
+    results = [f, g, f + g, f - g, -f, f * g, f * q, f - q, f**3]
+    if f.augmentation != 0:
+        results += [f.invert(), g * f.invert()]
+    if q != 0:
+        results.append(f / q)
+    for h in results:
+        assert _lowest_terms(h), h
+
+
+def test_routes_to_one_value_compare_and_hash_equal():
+    for n in (0, 1, 4, 9):
+        one = KClass.one(n)
+        for other in (
+            line_power(-1, n) * line_power(1, n),
+            line_power(2, n) * line_power(-2, n),
+            KClass([Fraction(3, 7)], n) * Fraction(7, 3),
+            (KClass([2, 4], n, INTEGRAL) * Fraction(1, 4) - KClass([0, 1], n) / 1) * 2,
+            KClass([6], n, den=6),
+        ):
+            assert other == one and hash(other) == hash(one), (n, other)
+    u = line_power(1, 6) - 1
+    assert u * Fraction(1, 3) + u * Fraction(2, 3) == u
+    assert hash(u * Fraction(1, 3) + u * Fraction(2, 3)) == hash(u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kclass_tuples(count=2), small_fractions)
+def test_equal_values_hash_equal(fg, q):
+    f, g = fg
+    constant = KClass.constant(q, f.truncation)
+    for a, b in ((f, g), (f, f * 1), (constant, q), (f, q), (constant + 0, constant)):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+    assert constant == q and hash(constant) == hash(q)
+    assert len({KClass.one(3), 1, KClass.one(3, RATIONAL)}) == 1
 
 
 def test_claim_constructor_rejects_bad_parameters():

@@ -1,12 +1,13 @@
 """The series kernels against plain Fraction loops.
 
-mul and inv sum integer numerators over common denominators; the reference
-loops below add one Fraction product at a time, as the kernels once did, and
-serve as the oracle.  compose and log1 reach mul through their own code.
+mul is an integer convolution, and inv, compose and log1 sum integer
+numerators over common denominators; the reference loops below add one
+Fraction product at a time, as the kernels once did, and serve as the
+oracle.  compose and log1 reach mul through their own code.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,11 @@ from hypothesis import strategies as st
 from kverify import series
 
 SERIES = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def fit(coeffs, order):
+    out = [Fraction(c) for c in coeffs][: order + 1]
+    return tuple(out + [Fraction(0)] * (order + 1 - len(out)))
 
 
 def ref_mul(a, b, order):
@@ -43,7 +49,7 @@ def ref_inv(a, order):
 
 
 def ref_compose(f, g, order):
-    acc = series.fit([f[-1]], order)
+    acc = fit([f[-1]], order)
     for i in range(len(f) - 2, -1, -1):
         acc = ref_mul(acc, g, order)
         acc = tuple(x + (f[i] if k == 0 else 0) for k, x in enumerate(acc))
@@ -51,14 +57,19 @@ def ref_compose(f, g, order):
 
 
 def ref_log1(a, order):
-    w = series.fit([0, *a[1:]], order)
+    w = fit([0, *a[1:]], order)
     out = [Fraction(0)] * (order + 1)
-    wpow = series.fit([1], order)
+    wpow = fit([1], order)
     for m in range(1, order + 1):
         wpow = ref_mul(wpow, w, order)
         for i, c in enumerate(wpow):
             out[i] += Fraction((-1) ** (m - 1), m) * c
     return tuple(out)
+
+
+def _numerators(a):
+    d = lcm(*(Fraction(c).denominator for c in a))
+    return [int(c * d) for c in a], d
 
 
 def _exact(result, expected):
@@ -81,7 +92,15 @@ orders = st.integers(0, 16)
 @SERIES
 @given(coefficients, coefficients, orders)
 def test_mul_matches_fraction_loop(a, b, order):
-    assert _exact(series.mul(a, b, order), ref_mul(a, b, order))
+    # integers in give integers out; rational series go in as numerators
+    # over one denominator each, as KClass products do
+    expected = ref_mul(a, b, order)
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    product = series.mul(na, nb, order)
+    assert all(type(x) is int for x in product) and len(product) == order + 1
+    assert tuple(Fraction(x, da * db) for x in product) == expected
+    assert series.mul(a, b, order) == expected
 
 
 @SERIES
@@ -117,7 +136,7 @@ def test_inverse_of_the_bernoulli_denominators():
     a = tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1))
     inverse = series.inv(a, order)
     assert inverse == ref_inv(a, order)
-    assert series.mul(a, inverse, order) == series.fit([1], order)
+    assert series.mul(a, inverse, order) == fit([1], order)
 
 
 @pytest.mark.parametrize("a", [(), (0,), (Fraction(0), 1), [0, 0, 3]])
