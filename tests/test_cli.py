@@ -1,5 +1,6 @@
 """Exit codes, report schema, ordering, and JSON stability of the CLI."""
 
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kverify import chern, cli, exact, series
 from kverify.cli import (
@@ -20,6 +23,7 @@ from kverify.cli import (
     FAIL,
     PASS,
     CheckReport,
+    build_parser,
     cmd_bernoulli,
     cmd_eigenvalue,
     cmd_theorem_a,
@@ -65,6 +69,19 @@ def test_sort_reports_orders_by_name_then_parameters():
     assert ordered[0].parameters["n"] == 2
     assert ordered[1].parameters == {"p": 3, "n": 2, "x": "u"}
     assert ordered[2].parameters["n"] == 10  # integers sort numerically, not textually
+
+
+@pytest.mark.parametrize(
+    "argv", [["all"], ["bockstein", "--prime", "3", "--max-deg", "60"]], ids=["all", "bockstein-p3"]
+)
+def test_each_parameter_has_one_type_per_check(argv):
+    # sort_reports compares parameter values without a type tag
+    types = {}
+    for row in cli._rows_for(build_parser().parse_args(argv)):
+        for name, value in row.parameters.items():
+            types.setdefault((row.check_name, name), set()).add(type(value))
+    assert types
+    assert {frozenset(kinds) for kinds in types.values()} <= {frozenset({int}), frozenset({str})}
 
 
 # -- exit codes through main ------------------------------------------------
@@ -571,6 +588,13 @@ GOLDEN_OUTPUTS = [
         23,
         43531,
     ),
+    (
+        ["bockstein", "--prime", "3", "--max-deg", "250000", "--pages", "64", "--json"],
+        None,
+        "5fed653da35c5f9d83de5233e9682adc9b7a1d4eb518980386c3c8b1ba5936bd",
+        125242,
+        33258345,
+    ),
 ]
 
 
@@ -589,6 +613,7 @@ GOLDEN_OUTPUTS = [
         "theorem-a-n200",
         "eigenvalue-n200",
         "artin-hasse-p3-t128",
+        "bockstein-p3-maxdeg250000-pages64",
     ],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):
@@ -601,6 +626,31 @@ def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, s
     assert len(json.loads(text)) == rows
     assert len(text.encode()) == size
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+# every string field also draws quotes, backslashes, control characters,
+# non-ASCII, U+2028 and lone surrogates
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff'), st.characters())
+)
+_JSON_INT = st.one_of(st.integers(), st.integers(min_value=-(10**40), max_value=10**40))
+_REPORTS = st.builds(
+    CheckReport,
+    check_name=_JSON_TEXT,
+    parameters=st.dictionaries(_JSON_TEXT, st.one_of(_JSON_INT, _JSON_TEXT), max_size=4),
+    status=_JSON_TEXT,
+    lhs=_JSON_TEXT,
+    rhs=_JSON_TEXT,
+    notes=st.lists(_JSON_TEXT, max_size=3).map(tuple),
+    elapsed_ms=_JSON_INT,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_REPORTS, max_size=4))
+def test_json_array_is_json_dumps_with_indent(rows):
+    expected = json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True, indent=2)
+    assert cli._json_array(rows) == expected
 
 
 def test_json_keys_are_sorted_in_output(capsys):
