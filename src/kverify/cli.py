@@ -71,14 +71,15 @@ DEFAULTS = {
 # (minimum, ceiling) of each setting; an entry of `primes` is a `prime`.
 # The ceilings bound the inputs whose cost grows without bound, each above
 # every documented use (one fresh process each, 2-vCPU host, Python 3.11.7):
-# is_prime is trial division and the akita certificate needs B_p (0.4 s at
-# p = 199), r_line_conjugate inverts a k-term series (`eigenvalue --k 999
-# --n-max 200` 12 s), `bernoulli`, `theorem-a` and `eigenvalue` at `--n-max
-# 200` take 0.5, 0.7 and 1 s, `artin-hasse --truncation 128` 0.25 s and
-# `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds the page
-# engine's degrees, given or its default 2 deg p^3 (119,164 in `bockstein
-# --prime 31`), and deg cannot exceed it; the engine walks a few runs per
-# page, but the report has a row per degree of nonzero homology, so
+# is_prime is trial division and the akita certificate needs B_p, a series
+# of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a k-term
+# series (`eigenvalue --k 999 --n-max 200` 12 s), `bernoulli`, `theorem-a`
+# and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
+# (the host's speed varies by about 1.6x), `artin-hasse --truncation 128`
+# 0.25 s and `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds
+# the page engine's degrees, given or its default 2 deg p^3 (119,164 in
+# `bockstein --prime 31`), and deg cannot exceed it; the engine walks a few
+# runs per page, but the report has a row per degree of nonzero homology, so
 # `bockstein --prime 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB)
 # takes about 2.5 s.
 LIMITS = {

@@ -15,13 +15,14 @@ binomial recurrence and exists so that callers (the CLI and the acceptance
 suite) can cross-check the two routes against each other.
 
 Each route computes its table once per process and serves every smaller
-index as a prefix of it.  ``bernoulli(n)`` reads coefficient 2n of the
-cached expansion to the smallest power-of-two order >= 2n; the inverse
-series coefficients up to order m do not depend on the order requested,
-so a run up to n inverts about log2(2n) series instead of n.
-``bernoulli_recursive(n)`` extends one module-level list of signed B_j
-with the recurrence as far as index 2n.  The two routes share no
-arithmetic: the recurrence never touches ``series``.
+index as a prefix of it.  The series route keeps one expansion: the
+coefficients found so far and the ``series.inv`` stream that continues
+them.  Coefficient m of an inverse series depends only on the terms up to
+m, so ``bernoulli(n)`` extends that expansion to exactly order 2n, whatever
+order the indices are asked in, and a run up to n computes 2n + 1
+coefficients once.  ``bernoulli_recursive(n)`` extends one module-level
+list of signed B_j with the recurrence as far as index 2n.  The two routes
+share no arithmetic: the recurrence never touches ``series``.
 
 Both routes sum integers.  The series route gets this from ``series.inv``;
 the recurrence writes the same idiom out on its own: it reads the table as
@@ -37,7 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count, islice, repeat
 from math import comb, factorial, gcd, lcm
+from operator import add
+from typing import Iterator
 
 from . import series
 
@@ -84,25 +88,26 @@ def vp(q: Fraction | int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(order: int) -> series.Coeffs:
-    """Coefficients of z/(exp(z) - 1) + z/2 through z^order."""
-    denom = tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1))
-    g = list(series.inv(denom, order))
-    if order >= 1:
-        g[1] += Fraction(1, 2)
-    return tuple(g)
+def _series_coefficients() -> tuple[list[Fraction], Iterator[Fraction]]:
+    """The process's one expansion of z/(exp(z) - 1) + z/2: the coefficients
+    found so far, and the stream that continues them."""
+    inverse = series.inv(Fraction(1, factorial(m + 1)) for m in count())
+    return [], map(add, inverse, chain((0, Fraction(1, 2)), repeat(0)))
 
 
-def _span(order: int) -> int:
-    """Smallest power of two >= order: the expansion order that serves it."""
-    return 1 << max(order - 1, 0).bit_length()
+def _expansion(order: int) -> list[Fraction]:
+    """The expansion, extended to order at least."""
+    found, stream = _series_coefficients()
+    if len(found) <= order:
+        found.extend(islice(stream, order + 1 - len(found)))
+    return found
 
 
 def bernoulli(n: int) -> Fraction:
     """B_n in the positive convention, read off the generating series."""
     if n < 1:
         raise ValueError("Bernoulli index starts at 1")
-    c = _series_coefficients(_span(2 * n))[2 * n]
+    c = _expansion(2 * n)[2 * n]
     return (-1) ** (n - 1) * c * factorial(2 * n)
 
 
@@ -140,12 +145,12 @@ def generating_series_roundtrip(max_index: int) -> bool:
     Checks the even coefficients and that every odd coefficient vanishes.
     """
     order = 2 * max_index
-    direct = _series_coefficients(_span(order))[: order + 1]
+    direct = _expansion(order)[: order + 1]
     rebuilt = [Fraction(0)] * (order + 1)
     rebuilt[0] = Fraction(1)
     for n in range(1, max_index + 1):
         rebuilt[2 * n] = (-1) ** (n - 1) * bernoulli_recursive(n) / factorial(2 * n)
-    return tuple(rebuilt) == direct
+    return rebuilt == direct
 
 
 def num_denom(n: int) -> tuple[int, int]:

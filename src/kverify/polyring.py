@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 from . import series
@@ -305,7 +306,8 @@ class KClass:
                 f"augmentation {frac_str(self.augmentation)} is not a unit under claim "
                 f"{self.claim.label()}; widen the claim to invert"
             )
-        return KClass(series.inv(self.coeffs, self.truncation), self.truncation, self.claim)
+        inverse = islice(series.inv(self.coeffs), self.truncation + 1)
+        return KClass(tuple(inverse), self.truncation, self.claim)
 
     # -- comparison --------------------------------------------------------
 

@@ -6,19 +6,27 @@ for the Bernoulli expansion, the truncated polynomial ring and the Chern
 character module.
 
 mul is the one convolution kernel: integers in, integers out, as KClass
-products call it on their numerators.  compose, log1 and inv scale their
+products call it on their numerators.  compose and log1 scale their
 Fraction inputs once to integer numerators over one denominator and build
 one Fraction per output coefficient, so every coefficient is normalised
-once instead of once per product.  inv also keeps the coefficients it has
-found over one running denominator, rescaled when a new one widens it.
+once instead of once per product.
+
+inv is a stream: it yields the inverse's coefficients one at a time, and
+coefficient m depends only on input terms 0..m, so one expansion grown on
+demand serves every order and a caller takes the prefix it needs with
+itertools.islice.  It keeps the input terms it has read and the
+coefficients it has found as integer numerators over one running
+denominator each, rescaled when a new term widens it, and it skips zero
+input terms, so a polynomial costs its nonzero terms per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import factorial, gcd, lcm
 from operator import mul as _times
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
@@ -44,27 +52,44 @@ def mul(a: Sequence, b: Sequence, order: int) -> tuple:
     return tuple(out)
 
 
-def inv(a: Sequence[Fraction], order: int) -> Coeffs:
-    """Multiplicative inverse; the constant term must be nonzero."""
-    if not a or a[0] == 0:
+def inv(a: Iterable[Fraction | int]) -> Iterator[Fraction]:
+    """Coefficients of the multiplicative inverse, constant term first, without
+    end.  a is a finite series, read as zero-padded, or an infinite iterable;
+    its term m is read only to produce coefficient m.  A zero (or missing)
+    constant term raises ZeroDivisionError when the first coefficient is
+    asked for."""
+    terms = iter(a)
+    c = next(terms, 0)
+    if c == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    na, da = _over_lcm(a[: order + 1])
-    # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (na[0] e)
-    # for out[i] = nout[i] / e; rna holds na[1:] reversed.
-    rna = na[:0:-1]
-    first = Fraction(da, na[0])
-    out = [first]
-    nout, e = [first.numerator], first.denominator
-    for m in range(1, order + 1):
-        j = min(m, len(rna))
-        q = Fraction(-sum(map(_times, rna[len(rna) - j :], nout[m - j :])), na[0] * e)
-        out.append(q)
+    # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (n0 e)
+    # for a[j] = na[j] / da, a0 = n0 / da and out[i] = nout[i] / e.  na holds
+    # the nonzero na[j], j >= 1, in order, and nonzero[j - 1] whether a[j] is
+    # one of them, so compress pairs each with nout[m-j] from reversed(nout).
+    n0, da = c.numerator, c.denominator
+    na, nonzero = [], []
+    q = Fraction(da, n0)
+    yield q
+    nout, e = [q.numerator], q.denominator
+    for m in count(1):
+        c = next(terms, 0)
+        if c:
+            den = c.denominator
+            widen = den // gcd(da, den)
+            if widen != 1:
+                na = [x * widen for x in na]
+                n0 *= widen
+                da *= widen
+            na.append(c.numerator * (da // den))
+            nonzero.extend(repeat(False, m - 1 - len(nonzero)))
+            nonzero.append(True)
+        q = Fraction(-sum(map(_times, na, compress(reversed(nout), nonzero))), n0 * e)
+        yield q
         widen = q.denominator // gcd(e, q.denominator)
         if widen != 1:
             nout = [x * widen for x in nout]
             e *= widen
         nout.append(q.numerator * (e // q.denominator))
-    return tuple(out)
 
 
 def compose(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> Coeffs:

@@ -278,12 +278,35 @@ def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, chec
     assert all(row["notes"][-1] == "ArithmeticError: setup failed" for row in errors)
 
 
-def test_bernoulli_suite_expands_few_series():
-    # a run up to n serves every index from power-of-two expansions
+def test_bernoulli_suite_expands_few_series(monkeypatch):
+    # a run up to n extends one expansion to exactly order 2n, and asking
+    # for the top index first leaves nothing for the smaller ones to compute
+    computed = []
+    inv = series.inv
+
+    def counting_inv(a):
+        for c in inv(a):
+            computed.append(c)
+            yield c
+
+    monkeypatch.setattr(series, "inv", counting_inv)
     exact._series_coefficients.cache_clear()
     del exact._recurrence_table[1:]
-    assert all(row.status == PASS for row in cmd_bernoulli(80))
-    assert exact._series_coefficients.cache_info().misses <= 8
+    try:
+        assert all(row.status == PASS for row in cmd_bernoulli(80))
+        assert exact._series_coefficients.cache_info().misses == 1
+        assert len(computed) == 161
+
+        exact._series_coefficients.cache_clear()
+        computed.clear()
+        exact.bernoulli(80)
+        assert len(computed) == 161
+        for n in range(1, 80):
+            assert exact.bernoulli(n) == exact.bernoulli_recursive(n)
+        assert len(computed) == 161
+        assert exact._series_coefficients.cache_info().misses == 1
+    finally:
+        exact._series_coefficients.cache_clear()
 
 
 @pytest.fixture
@@ -306,12 +329,15 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
 
     assert all(row.status == PASS for row in suites())  # fills the Bernoulli tables
     chern._conjugate_average.cache_clear()
-    calls = []
+    calls, taken = [], []
     inv = series.inv
 
-    def counting_inv(a, order):
-        calls.append(order)
-        return inv(a, order)
+    def counting_inv(a):
+        calls.append(len(a) - 1)
+        taken.append(0)
+        for c in inv(a):
+            taken[-1] += 1
+            yield c
 
     monkeypatch.setattr(series, "inv", counting_inv)
     assert all(row.status == PASS for row in suites())
@@ -320,6 +346,7 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
     windows = {2 * n + 2 for n in range(1, n_max + 1)}
     windows |= {max(truncation, 2 * n + 3) for n in range(1, n_max + 1)}
     assert sorted(calls) == sorted(windows)
+    assert sorted(taken) == sorted(w + 1 for w in windows)
 
 
 def test_truncation_stable_row_compares_separate_inversions(
@@ -509,7 +536,9 @@ def test_json_byte_stable_apart_from_timing(capsys):
 # the series kernels and the recurrence summed over a common denominator,
 # are the bernoulli-wide benchmark input and the n_max ceiling; the last two,
 # captured before the pages were stored as arithmetic runs, reach page 64
-# at p = 31 and a degree bound below one period of the first page.
+# at p = 31 and a degree bound below one period of the first page.  The
+# akita run, captured before the Bernoulli expansion became one growing
+# stream, pins B_199 at the prime ceiling (series order 398).
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
@@ -568,6 +597,13 @@ GOLDEN_OUTPUTS = [
         66505,
     ),
     (
+        ["akita", "--prime", "199", "--json"],
+        None,
+        "a40d8180880ff0aa4f053df7aa0b8b6f5c3bb985fbf18cef89f50f16d85465d9",
+        1,
+        1304,
+    ),
+    (
         ["theorem-a", "--n-max", "200", "--json"],
         None,
         "6c109943e1936f13a55c1bfe02a8dd8f805722c1170045b07b113b93d9478289",
@@ -610,6 +646,7 @@ GOLDEN_OUTPUTS = [
         "bernoulli-n200",
         "bockstein-p31-pages64",
         "bockstein-p3-deg4-maxdeg7-pages64",
+        "akita-p199",
         "theorem-a-n200",
         "eigenvalue-n200",
         "artin-hasse-p3-t128",

@@ -3,10 +3,12 @@
 mul is an integer convolution, and inv, compose and log1 sum integer
 numerators over common denominators; the reference loops below add one
 Fraction product at a time, as the kernels once did, and serve as the
-oracle.  compose and log1 reach mul through their own code.
+oracle.  compose and log1 reach mul through their own code.  inv is a
+stream, read here through inv_to, its prefix through a given order.
 """
 
 from fractions import Fraction
+from itertools import count, islice
 from math import factorial, lcm
 
 import pytest
@@ -21,6 +23,10 @@ SERIES = settings(max_examples=100, deadline=None, derandomize=True)
 def fit(coeffs, order):
     out = [Fraction(c) for c in coeffs][: order + 1]
     return tuple(out + [Fraction(0)] * (order + 1 - len(out)))
+
+
+def inv_to(a, order):
+    return tuple(islice(series.inv(a), order + 1))
 
 
 def ref_mul(a, b, order):
@@ -107,7 +113,7 @@ def test_mul_matches_fraction_loop(a, b, order):
 @given(nonzero, st.lists(coefficient, max_size=12), orders)
 def test_inv_matches_fraction_loop(c, rest, order):
     a = [c, *rest]
-    assert _exact(series.inv(a, order), ref_inv(a, order))
+    assert _exact(inv_to(a, order), ref_inv(a, order))
 
 
 @SERIES
@@ -126,7 +132,7 @@ def test_log1_matches_fraction_loop(rest, order):
 
 def test_order_zero():
     assert series.mul([Fraction(2, 3), 5], [Fraction(-3, 4), 1], 0) == (Fraction(-1, 2),)
-    assert series.inv([Fraction(-2, 3), 1, 1], 0) == (Fraction(-3, 2),)
+    assert inv_to([Fraction(-2, 3), 1, 1], 0) == (Fraction(-3, 2),)
 
 
 def test_inverse_of_the_bernoulli_denominators():
@@ -134,15 +140,53 @@ def test_inverse_of_the_bernoulli_denominators():
     # every step, so the stored numerators are rescaled again and again
     order = 64
     a = tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1))
-    inverse = series.inv(a, order)
+    inverse = inv_to(a, order)
     assert inverse == ref_inv(a, order)
     assert series.mul(a, inverse, order) == fit([1], order)
 
 
+def test_inverse_of_an_infinite_series_matches_its_finite_prefix():
+    order = 64
+    finite = tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1))
+    infinite = (Fraction(1, factorial(m + 1)) for m in count())
+    assert inv_to(infinite, order) == inv_to(finite, order) == ref_inv(finite, order)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_inverse_reads_term_m_only_for_coefficient_m(m):
+    head = (Fraction(2), Fraction(-1, 3), 0, Fraction(5, 7), 1, 0)[: m + 1]
+
+    def terms():
+        yield from head
+        raise RuntimeError(f"term {m + 1} read")
+
+    stream = series.inv(terms())
+    assert tuple(islice(stream, m + 1)) == ref_inv(head, m)
+    with pytest.raises(RuntimeError, match=f"term {m + 1} read"):
+        next(stream)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        (Fraction(3, 2), 0, 0, Fraction(-1, 5), 0, 2),
+        (1, 0, 0, 0, 0, 0, 0, 0),
+        (Fraction(-1, 4), Fraction(1, 6), 0, 0, 0, 0, 0, 0, 0),
+        (3, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ],
+)
+def test_inverse_with_zero_terms_inside_and_at_the_end(a):
+    # zero terms are skipped; a finite series reads as zero-padded
+    for order in (len(a) - 1, len(a) + 9):
+        assert _exact(inv_to(a, order), ref_inv(a, order))
+        assert inv_to(a, order) == inv_to(list(a) + [0] * 10, order)
+
+
 @pytest.mark.parametrize("a", [(), (0,), (Fraction(0), 1), [0, 0, 3]])
 def test_inverse_needs_a_nonzero_constant_term(a):
-    with pytest.raises(ZeroDivisionError):
-        series.inv(a, 4)
+    stream = series.inv(a)
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
+        next(stream)
 
 
 @pytest.mark.parametrize("a", [(), (0, 1), (Fraction(2), 1)])
