@@ -6,51 +6,36 @@ to cohomology through the Chern character, and uses the resulting numbers to
 check Bernoulli valuation identities, a p-local logarithm, one disproof via
 a mod-p homology pairing, and the closed-form pages of two model Bockstein
 spectral sequences.  Everything is exact; nothing is floating point.
+
+The public names resolve on first use (PEP 562), each from its home module,
+so importing the package or one module loads nothing else: a subcommand
+imports only the modules its suite runs.
 """
 
-from .bockstein import ModelKind, build_model, compute_page, verify_closed_form_pages
-from .chern import ch, eigenvalue_closed_form, rk_eigenvalue, s_eval
-from .dyerlashof import akita_counterexample, q_on_bu
-from .exact import bernoulli, choose_k, num_denom, vp
-from .kops import artin_hasse_log, l_double_loop, psi, theta
-from .polyring import (
-    INTEGRAL,
-    RATIONAL,
-    KClass,
-    SuspensionClass,
-    k_inverted,
-    line_power,
-    p_local,
-    suspend,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INTEGRAL",
-    "KClass",
-    "ModelKind",
-    "RATIONAL",
-    "SuspensionClass",
-    "akita_counterexample",
-    "artin_hasse_log",
-    "bernoulli",
-    "build_model",
-    "ch",
-    "choose_k",
-    "compute_page",
-    "eigenvalue_closed_form",
-    "k_inverted",
-    "l_double_loop",
-    "line_power",
-    "num_denom",
-    "p_local",
-    "psi",
-    "q_on_bu",
-    "rk_eigenvalue",
-    "s_eval",
-    "suspend",
-    "theta",
-    "verify_closed_form_pages",
-    "vp",
-]
+#: The home module of each public name.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("exact", ("bernoulli", "choose_k", "num_denom", "vp")),
+        ("polyring", ("INTEGRAL", "RATIONAL", "KClass", "SuspensionClass", "k_inverted",
+                      "line_power", "p_local", "suspend")),
+        ("kops", ("artin_hasse_log", "l_double_loop", "psi", "theta")),
+        ("chern", ("ch", "eigenvalue_closed_form", "rk_eigenvalue", "s_eval")),
+        ("dyerlashof", ("akita_counterexample", "q_on_bu")),
+        ("bockstein", ("ModelKind", "build_model", "compute_page", "verify_closed_form_pages")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    # not cached, so a name always reads its home module's current binding
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_HOMES[name]}", __name__), name)

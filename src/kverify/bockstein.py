@@ -28,11 +28,10 @@ notes say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .exact import is_prime
+from . import exact
 
 
 class ModelKind(Enum):
@@ -47,8 +46,7 @@ class Monomial(NamedTuple):
     aux: bool
 
 
-@dataclass(frozen=True)
-class ModelDGA:
+class ModelDGA(NamedTuple):
     kind: ModelKind
     p: int
     deg_even_gen: int
@@ -63,7 +61,7 @@ class ModelDGA:
 
 
 def build_model(kind: ModelKind, p: int, deg: int, max_degree: int) -> ModelDGA:
-    if not is_prime(p) or p == 2:
+    if not exact.is_prime(p) or p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
     if deg <= 0 or deg % 2 != 0:
         raise ValueError(f"deg = {deg} must be a positive even integer")
@@ -83,8 +81,7 @@ class Run(NamedTuple):
     block: tuple[tuple[int, ...], ...] | None
 
 
-@dataclass(frozen=True)
-class PageBasis:
+class PageBasis(NamedTuple):
     """Monomial basis and degree-lowering differential of one page: runs
     in order of first degree, covering each degree that carries a monomial
     once, each stepping by period.  Equal blocks of a page are one object."""
@@ -199,7 +196,7 @@ def _page_blocks(model: ModelDGA, page: PageBasis) -> PageBasis:
             )
         block = blocks.setdefault((bool(below), coefficient), ((coefficient,),) if below else ())
         out.append(piece._replace(block=block if piece.degrees.start else None))
-    return replace(page, runs=tuple(sorted(out, key=lambda run: run.degrees.start)))
+    return page._replace(runs=tuple(sorted(out, key=lambda run: run.degrees.start)))
 
 
 def _check_dd_zero(page: PageBasis) -> None:
@@ -259,8 +256,7 @@ def page_homology_dims(page: PageBasis, max_degree: int) -> list[tuple[range, in
     return pieces
 
 
-@dataclass(frozen=True)
-class PageReport:
+class PageReport(NamedTuple):
     """Computed homology against the closed form, where either is nonzero.
 
     rows holds (page, degree, computed_dim, predicted_dim) for each degree

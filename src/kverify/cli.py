@@ -10,6 +10,10 @@ json.dumps(rows, sort_keys=True, indent=2), so output is byte-stable for
 fixed inputs apart from the elapsed_ms timing field.  Rows are ordered by
 (check_name, parameters).  Exit status: 0 when every row is PASS, 1 when
 any row is FAIL or ERROR, 2 for usage or config problems.
+
+Every command shares the exact module; each suite imports the other modules
+it runs when it starts, so `bernoulli` loads only exact and series, and
+`bockstein` adds only the page engine.
 """
 
 from __future__ import annotations
@@ -18,20 +22,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import NamedTuple
 
-from .bockstein import ModelKind, build_model, verify_closed_form_pages
-from .chern import (
-    bh_log_identity_check,
-    bh_psi_relation_check,
-    eigenvalue_closed_form,
-    rk_eigenvalue,
-    s_eval,
-)
-from .dyerlashof import akita_counterexample
 from .exact import (
     bernoulli,
     bernoulli_recursive,
@@ -43,15 +38,6 @@ from .exact import (
     num_denom,
     vp,
 )
-from .kops import (
-    IntegralityViolation,
-    artin_hasse_log,
-    l_double_loop,
-    log_one_minus,
-    psi,
-    theta,
-)
-from .polyring import KClass, line_power
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -159,8 +145,7 @@ def check_settings(command: str, settings: dict) -> None:
         raise UsageError("truncation must be at least 2")
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_name: str
     parameters: dict
     status: str
@@ -190,7 +175,8 @@ def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
     return sorted(rows, key=lambda r: (r.check_name, sorted(r.parameters.items())))
 
 
-def _coeff_string(f: KClass) -> str:
+def _coeff_string(f) -> str:
+    # f is a KClass
     return "[" + ", ".join(frac_str(c) for c in f.coeffs) + "]"
 
 
@@ -235,8 +221,16 @@ def cmd_bernoulli(n_max: int) -> list[CheckReport]:
 
 
 def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
+    from .chern import eigenvalue_closed_form, rk_eigenvalue
+
     valuation_k = choose_k(p)  # the valuation identity always uses the generator
     k = k or valuation_k
+
+    def p_local(n):
+        valuation = vp(rk_eigenvalue(k, n), p)
+        lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
+        return lhs, "p-local", ()
+
     rows = []
     for n in range(1, n_max + 1):
         rows.append(
@@ -255,7 +249,7 @@ def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
             run_check(
                 "eigenvalue-p-local",
                 {"p": p, "k": k, "n": n},
-                lambda n=n: _p_local_thunk(p, k, n),
+                lambda n=n: p_local(n),
             )
         )
         rows.append(
@@ -285,13 +279,9 @@ def _valuation_thunk(p: int, n: int):
     return f"v={vc.lhs_valuation}", f"v={vc.rhs_valuation}", (vc.note,) if vc.note else ()
 
 
-def _p_local_thunk(p: int, k: int, n: int):
-    valuation = vp(rk_eigenvalue(k, n), p)
-    lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
-    return lhs, "p-local", ()
-
-
 def cmd_eigenvalue(p: int, k: int | None, n_max: int, truncation: int) -> list[CheckReport]:
+    from .chern import eigenvalue_closed_form, rk_eigenvalue
+
     k = k or choose_k(p)
     rows = []
     for n in range(1, n_max + 1):
@@ -323,6 +313,8 @@ def cmd_eigenvalue(p: int, k: int | None, n_max: int, truncation: int) -> list[C
 
 
 def cmd_akita(p: int) -> list[CheckReport]:
+    from .dyerlashof import akita_counterexample
+
     def thunk():
         certificate = akita_counterexample(p)
         verdict = certificate.verdict if certificate.passed else "certificate incomplete"
@@ -348,21 +340,45 @@ _SIGN_NOTE = (
 )
 
 
-def _artin_hasse_samples(truncation: int) -> list[tuple[str, KClass]]:
-    u = line_power(1, truncation) - 1
-    return [("u", u), ("u^2", u * u), ("u+u^2", u + u * u)]
-
-
 def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
+    from .chern import s_eval
+    from .kops import (
+        IntegralityViolation,
+        artin_hasse_log,
+        l_double_loop,
+        log_one_minus,
+        psi,
+        theta,
+    )
+    from .polyring import line_power
+
+    def theta_integrality(t, x):
+        try:
+            theta(p, t, x)
+        except IntegralityViolation as err:
+            return (
+                f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}",
+                "p-integral",
+                (),
+            )
+        return "p-integral", "p-integral", ()
+
+    def log_closed_form(x):
+        lhs = artin_hasse_log(p, x)
+        logarithm = log_one_minus(x)
+        rhs = logarithm - psi(p, logarithm) / p
+        return _coeff_string(lhs), _coeff_string(rhs), ()
+
     rows = []
-    samples = _artin_hasse_samples(truncation)
+    u = line_power(1, truncation) - 1
+    samples = [("u", u), ("u^2", u * u), ("u+u^2", u + u * u)]
     for label, x in samples:
         for t in range(0, 4):
             rows.append(
                 run_check(
                     "theta-integrality",
                     {"p": p, "t": t, "N": truncation, "x": label},
-                    lambda t=t, x=x: _theta_thunk(p, t, x),
+                    lambda t=t, x=x: theta_integrality(t, x),
                 )
             )
     for label, x in samples:
@@ -370,7 +386,7 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
             run_check(
                 "p-local-log-closed-form",
                 {"p": p, "N": truncation, "x": label},
-                lambda x=x: _log_closed_form_thunk(p, x),
+                lambda x=x: log_closed_form(x),
                 notes=(
                     "defining double sum vs (1 - psi^p/p) log(1-x); "
                     "global sign +1",
@@ -406,45 +422,35 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
     return rows
 
 
-def _theta_thunk(p: int, t: int, x: KClass):
-    try:
-        theta(p, t, x)
-    except IntegralityViolation as err:
-        return (
-            f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}",
-            "p-integral",
-            (),
-        )
-    return "p-integral", "p-integral", ()
-
-
-def _log_closed_form_thunk(p: int, x: KClass):
-    lhs = artin_hasse_log(p, x)
-    logarithm = log_one_minus(x)
-    rhs = logarithm - psi(p, logarithm) / p
-    return _coeff_string(lhs), _coeff_string(rhs), ()
-
-
 def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[CheckReport]:
+    from .bockstein import ModelKind, build_model, verify_closed_form_pages
+
     max_deg = max_deg or 2 * deg * p**3
     rows = []
     for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
-        rows += _bockstein_kind_rows(kind, kind_label, p, deg, pages, max_deg)
+        rows += _bockstein_kind_rows(
+            lambda kind=kind: verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages),
+            kind_label,
+            p,
+            deg,
+            pages,
+        )
     return rows
 
 
 def _bockstein_kind_rows(
-    kind: ModelKind, kind_label: str, p: int, deg: int, pages: int, max_deg: int
+    verify, kind_label: str, p: int, deg: int, pages: int
 ) -> list[CheckReport]:
-    """Summary and dimension rows of one model.  The first summary row
-    builds and verifies the model, so the page engine is timed inside it and
-    a raise is an ERROR row; the other rows read its report."""
+    """Summary and dimension rows of one model, whose report verify()
+    builds.  The first summary row calls it, so the page engine is timed
+    inside that row and a raise is an ERROR row; the other rows read its
+    report."""
     params = {"p": p, "deg": deg, "kind": kind_label}
     found = []
 
     def summary(page):
         if not found:
-            found.append(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
+            found.append(verify())
         report = found[0]
         notes = report.notes if page == 2 else ()
         return f"{report.mismatches[page]} mismatches", "0 mismatches", notes
@@ -452,7 +458,7 @@ def _bockstein_kind_rows(
     first = run_check("bockstein-page-summary", {**params, "page": 2}, lambda: summary(2))
     if not found:
         # the page engine raised: every summary row carries its error
-        return [replace(first, parameters={**params, "page": page}) for page in range(2, pages + 1)]
+        return [first._replace(parameters={**params, "page": page}) for page in range(2, pages + 1)]
     rows = [first] + [
         run_check("bockstein-page-summary", {**params, "page": page}, lambda page=page: summary(page))
         for page in range(3, pages + 1)
@@ -470,6 +476,8 @@ def _bockstein_kind_rows(
 
 def cmd_series(order: int) -> list[CheckReport]:
     """The two series identities behind the eigenvalue computation."""
+    from .chern import bh_log_identity_check, bh_psi_relation_check
+
     rows = [
         run_check(
             "series-log-bernoulli",
@@ -606,8 +614,8 @@ def _print_table(rows: list[CheckReport]) -> None:
 
 
 def _json_array(rows: list[CheckReport]) -> str:
-    """The rows in exactly the layout of json.dumps([dataclasses.asdict(row)
-    for row in rows], sort_keys=True, indent=2).  json.dumps takes its
+    """The rows in exactly the layout of json.dumps([row._asdict() for row
+    in rows], sort_keys=True, indent=2).  json.dumps takes its
     pure-Python encoder whenever indent is set; this takes the C string
     encoder that json.dumps calls under ensure_ascii."""
     return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]" if rows else "[]"

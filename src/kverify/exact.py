@@ -35,13 +35,12 @@ one record of the recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from math import comb, factorial, gcd, lcm
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import series
 
@@ -190,8 +189,7 @@ def choose_k(p: int) -> int:
         k += 2
 
 
-@dataclass(frozen=True)
-class ValuationCheck:
+class ValuationCheck(NamedTuple):
     """Result of comparing v_p(k^(2n) - 1) with the denominator valuation."""
 
     prime: int

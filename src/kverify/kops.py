@@ -175,7 +175,7 @@ def log_one_minus(x: KClass) -> KClass:
     x must be reduced: otherwise 1 - x has a constant term other than 1 and
     series.log1 raises ValueError.
     """
-    return KClass(series.log1((KClass.one(x.truncation) - x).coeffs, x.truncation), x.truncation)
+    return KClass(series.log1((1 - x).coeffs, x.truncation), x.truncation)
 
 
 def artin_hasse_log(p: int, x: KClass) -> KClass:

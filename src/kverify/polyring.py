@@ -255,6 +255,11 @@ class KClass:
             return self + (-other if isinstance(other, KClass) else -Fraction(other))
         return NotImplemented
 
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
+
     def __mul__(self, other):
         if isinstance(other, KClass):
             self._match(other)

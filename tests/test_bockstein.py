@@ -5,7 +5,6 @@ fully independent homology count possible by congruence conditions alone;
 that count is the oracle the row-reduction route is measured against.
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -350,7 +349,7 @@ def test_image_outside_target_basis_raises():
     assert bockstein._page_blocks(model, page).runs  # the true basis passes
     forged = [run._replace(powers=range(5, 6)) if run.degrees.start == 1 else run for run in page.runs]
     with pytest.raises(ValueError, match=r"image of Monomial\(power=1, aux=False\)"):
-        bockstein._page_blocks(model, replace(page, runs=tuple(forged)))
+        bockstein._page_blocks(model, page._replace(runs=tuple(forged)))
     # a run whose image lands only in part is refused: y^4 x in degree 9 of
     # a bound-18 page is forged as y^5 x inside its run, so the middle term
     # of the run y^2, y^5, y^8 maps outside the basis
@@ -367,7 +366,7 @@ def test_image_outside_target_basis_raises():
         key=lambda run: run.degrees.start,
     )
     with pytest.raises(ValueError, match=r"Monomial\(power=5, aux=False\).*degree 9 on"):
-        bockstein._page_blocks(model, replace(page, runs=tuple(forged)))
+        bockstein._page_blocks(model, page._replace(runs=tuple(forged)))
 
 
 def test_dd_zero_guard_names_first_failing_degree_of_a_repeated_pair():

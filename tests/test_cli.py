@@ -1,6 +1,5 @@
 """Exit codes, report schema, ordering, and JSON stability of the CLI."""
 
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kverify import chern, cli, exact, series
+from kverify import bockstein, chern, cli, dyerlashof, exact, series
 from kverify.cli import (
     ERROR,
     FAIL,
@@ -241,12 +240,22 @@ def test_error_row_exits_one(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ArithmeticError("series route failed")
 
-    monkeypatch.setattr(cli, "rk_eigenvalue", broken)
+    monkeypatch.setattr(chern, "rk_eigenvalue", broken)
     code = main(["theorem-a", "--prime", "3", "--n-max", "1"])
     assert code == 1
     out = capsys.readouterr().out
     assert "ERROR" in out
     assert "lhs=" in out  # non-PASS table lines carry the comparison payload
+
+
+# Each setup function patched where the suite reads it: the cli copy of
+# denominator_valuation_check, and the module that each of the other two
+# suites imports its function from when it starts.
+_SETUP_HOMES = {
+    "denominator_valuation_check": cli,
+    "akita_counterexample": dyerlashof,
+    "verify_closed_form_pages": bockstein,
+}
 
 
 @pytest.mark.parametrize(
@@ -269,7 +278,7 @@ def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, chec
     def broken(*args):
         raise ArithmeticError("setup failed")
 
-    monkeypatch.setattr(cli, setup, broken)
+    monkeypatch.setattr(_SETUP_HOMES[setup], setup, broken)
     assert main(argv + ["--json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -686,7 +695,7 @@ _REPORTS = st.builds(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(_REPORTS, max_size=4))
 def test_json_array_is_json_dumps_with_indent(rows):
-    expected = json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True, indent=2)
+    expected = json.dumps([row._asdict() for row in rows], sort_keys=True, indent=2)
     assert cli._json_array(rows) == expected
 
 

@@ -1,0 +1,153 @@
+"""What each command loads, and the lazily resolved package API.
+
+Every check runs in a fresh interpreter, so that nothing this test session
+has already imported can hide a module that a command loads."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "cli")
+
+
+def _fresh(script: str):
+    """Run script in a new interpreter that imports kverify from this
+    checkout; return the JSON value of its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_LOADED_BY = """
+    import contextlib, io, json, sys
+    from kverify.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main({argv!r})
+    print(json.dumps([
+        code,
+        sorted(name for name in sys.modules if name.split(".")[0] == "kverify"),
+        "dataclasses" in sys.modules,
+    ]))
+"""
+
+_BERNOULLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.series"]
+
+
+@pytest.mark.parametrize(
+    "argv,loaded,dataclasses",
+    [
+        (["bernoulli", "--n-max", "2", "--json"], _BERNOULLI, False),
+        (
+            ["bockstein", "--prime", "3", "--max-deg", "60", "--json"],
+            sorted(_BERNOULLI + ["kverify.bockstein"]),
+            False,
+        ),
+        (
+            ["all", "--config", "-", "--json"],
+            sorted(["kverify"] + [f"kverify.{name}" for name in MODULES]),
+            True,
+        ),
+    ],
+    ids=["bernoulli", "bockstein", "all"],
+)
+def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, loaded, dataclasses):
+    if "-" in argv:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"primes": [2, 3], "n_max": 2, "truncation": 4}))
+        argv = [str(config) if arg == "-" else arg for arg in argv]
+    assert _fresh(_LOADED_BY.format(argv=argv)) == [0, loaded, dataclasses]
+
+
+def test_package_names_resolve_lazily_to_their_home_modules():
+    checks = _fresh(
+        """
+        import json, sys
+        import kverify
+        checks = {"loaded": sorted(n for n in sys.modules if n.split(".")[0] == "kverify")}
+        from kverify import dyerlashof
+        checks["submodule"] = dyerlashof is sys.modules["kverify.dyerlashof"]
+        # the module that defines each value also binds it under the name
+        checks["not_home"] = [
+            name
+            for name in kverify.__all__
+            if vars(sys.modules[getattr(kverify, name).__module__]).get(name)
+            is not getattr(kverify, name)
+        ]
+        namespace = {}
+        exec("from kverify import *", namespace)
+        checks["star"] = sorted(set(kverify.__all__) - set(namespace))
+        try:
+            kverify.no_such_name
+        except AttributeError as err:
+            checks["unknown"] = str(err)
+        print(json.dumps(checks))
+        """
+    )
+    assert checks["loaded"] == ["kverify"]
+    assert checks["submodule"]
+    assert checks["not_home"] == []
+    assert checks["star"] == []
+    assert checks["unknown"] == "module 'kverify' has no attribute 'no_such_name'"
+
+
+def test_modules_loaded_during_a_run_copy_no_patched_function():
+    # A module that a suite loads on demand must read its siblings'
+    # functions through the module, or it keeps whatever wrapper or patch
+    # was bound when it loaded (the benchmark's tracer checks this too).
+    checks = _fresh(
+        """
+        import contextlib, io, json, sys
+        from kverify import chern, cli, exact, polyring, series
+
+        def sentinel(fn):
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+            wrapper.sentinel = True
+            return wrapper
+
+        patched = [(chern, "s_eval"), (exact, "bernoulli"), (exact, "is_prime"),
+                   (polyring, "line_power")]
+        originals = [getattr(module, name) for module, name in patched]
+        checks = {"before": "kverify.dyerlashof" in sys.modules}
+        for module, name in patched:
+            setattr(module, name, sentinel(getattr(module, name)))
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                checks["code"] = cli.main(["akita", "--prime", "3"])
+        finally:
+            for (module, name), original in zip(patched, originals):
+                setattr(module, name, original)
+        checks["after"] = "kverify.dyerlashof" in sys.modules
+        owners = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "kverify":
+                owners.append(module)
+                owners += [
+                    value for value in vars(module).values()
+                    if isinstance(value, type) and value.__module__ == name
+                ]
+        checks["leftovers"] = sorted(
+            f"{getattr(owner, '__name__', owner)}.{attr}"
+            for owner in owners
+            for attr, value in vars(owner).items()
+            if getattr(value, "sentinel", False)
+        )
+        print(json.dumps(checks))
+        """
+    )
+    assert checks == {"before": False, "code": 0, "after": True, "leftovers": []}

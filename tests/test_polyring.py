@@ -67,6 +67,19 @@ def test_scalar_action(fs, a, b):
 
 
 @settings(max_examples=40)
+@given(
+    st.booleans().flatmap(lambda integral: kclass_tuples(count=1, integral=integral)),
+    st.one_of(small_ints, small_fractions),
+)
+def test_scalar_minus_class_is_negated_class_minus_scalar(fs, q):
+    # q - f reaches KClass.__rsub__, for an int and for a Fraction q
+    (f,) = fs
+    for g in (f, f.with_claim(p_local(3))) if f.claim == INTEGRAL else (f,):
+        assert q - g == -(g - q)
+        assert (q - g).claim == (-(g - q)).claim
+
+
+@settings(max_examples=40)
 @given(kclass_tuples(count=1, integral=True), st.integers(min_value=0, max_value=5))
 def test_power_is_repeated_product(fs, n):
     (f,) = fs
