@@ -59,7 +59,7 @@ DEFAULTS = {
 # every documented use (one fresh process each, 2-vCPU host, Python 3.11.7):
 # is_prime is trial division and the akita certificate needs B_p, a series
 # of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a k-term
-# series (`eigenvalue --k 999 --n-max 200` 12 s), `bernoulli`, `theorem-a`
+# series (`eigenvalue --k 999 --n-max 200` 26 s), `bernoulli`, `theorem-a`
 # and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
 # (the host's speed varies by about 1.6x), `artin-hasse --truncation 128`
 # 0.25 s and `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds
@@ -220,8 +220,22 @@ def cmd_bernoulli(n_max: int) -> list[CheckReport]:
     return rows
 
 
-def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
+def _closed_form_rows(p: int, k: int, n_max: int, notes: tuple = ()) -> list[CheckReport]:
     from .chern import eigenvalue_closed_form, rk_eigenvalue
+
+    return [
+        run_check(
+            "eigenvalue-closed-form",
+            {"p": p, "k": k, "n": n},
+            lambda n=n: (frac_str(rk_eigenvalue(k, n)), frac_str(eigenvalue_closed_form(k, n)), ()),
+            notes=notes,
+        )
+        for n in range(1, n_max + 1)
+    ]
+
+
+def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
+    from .chern import rk_eigenvalue
 
     valuation_k = choose_k(p)  # the valuation identity always uses the generator
     k = k or valuation_k
@@ -231,20 +245,8 @@ def cmd_theorem_a(p: int, k: int | None, n_max: int) -> list[CheckReport]:
         lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
         return lhs, "p-local", ()
 
-    rows = []
+    rows = _closed_form_rows(p, k, n_max, notes=("series route vs (-1)^(n-1) (k^(2n)-1) B_n/2n",))
     for n in range(1, n_max + 1):
-        rows.append(
-            run_check(
-                "eigenvalue-closed-form",
-                {"p": p, "k": k, "n": n},
-                lambda n=n: (
-                    frac_str(rk_eigenvalue(k, n)),
-                    frac_str(eigenvalue_closed_form(k, n)),
-                    (),
-                ),
-                notes=("series route vs (-1)^(n-1) (k^(2n)-1) B_n/2n",),
-            )
-        )
         rows.append(
             run_check(
                 "eigenvalue-p-local",
@@ -280,22 +282,11 @@ def _valuation_thunk(p: int, n: int):
 
 
 def cmd_eigenvalue(p: int, k: int | None, n_max: int, truncation: int) -> list[CheckReport]:
-    from .chern import eigenvalue_closed_form, rk_eigenvalue
+    from .chern import rk_eigenvalue
 
     k = k or choose_k(p)
-    rows = []
+    rows = _closed_form_rows(p, k, n_max)
     for n in range(1, n_max + 1):
-        rows.append(
-            run_check(
-                "eigenvalue-closed-form",
-                {"p": p, "k": k, "n": n},
-                lambda n=n: (
-                    frac_str(rk_eigenvalue(k, n)),
-                    frac_str(eigenvalue_closed_form(k, n)),
-                    (),
-                ),
-            )
-        )
         wide = max(truncation, 2 * n + 3)
         rows.append(
             run_check(
@@ -317,15 +308,15 @@ def cmd_akita(p: int) -> list[CheckReport]:
 
     def thunk():
         certificate = akita_counterexample(p)
-        verdict = certificate.verdict if certificate.passed else "certificate incomplete"
+        refuted = "conjecture fails mod p"
         return (
-            verdict,
-            "conjecture fails mod p",
+            refuted if certificate.refutes else "certificate incomplete",
+            refuted,
             certificate.notes
             + (
-                f"s-side pairing {certificate.s_pairing}, kappa side "
-                f"{certificate.kappa_side}, numerator residue "
-                f"{certificate.num_residue} mod {p}",
+                # the kappa side is the suspension argument of the third note
+                f"s-side pairing {certificate.s_pairing}, kappa side 0, "
+                f"numerator residue {certificate.num_residue} mod {p}",
             ),
         )
 
@@ -536,16 +527,6 @@ COMMANDS = {
 # wiring
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from err
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kverify",
@@ -561,9 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
             options.add_argument("--config", default=None, help="flat JSON object of option overrides")
             continue
         for name in names:
-            options.add_argument(
-                "--" + name.replace("_", "-"), type=_positive_int, default=DEFAULTS[name]
-            )
+            options.add_argument("--" + name.replace("_", "-"), type=int, default=DEFAULTS[name])
     return parser
 
 

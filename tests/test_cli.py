@@ -106,17 +106,16 @@ def test_usage_problems_exit_two(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "truncation must be at least 2" in err
-    with pytest.raises(SystemExit) as exit_info:
-        main(["artin-hasse", "--truncation", "0"])
-    assert exit_info.value.code == 2
-    assert "is not positive" in capsys.readouterr().err
+    # a nonpositive value reaches the LIMITS minimum, not the option parser
+    assert main(["artin-hasse", "--truncation", "0"]) == 2
+    assert "truncation must be at least 1" in capsys.readouterr().err
 
 
 # One input per rule of cli.check_settings, tripping that rule and no other,
 # as argv and, where the setting is a configuration key, as `all --config`:
-# (argv or config body, the rule's message).  Each minimum is above what the
-# option parser already rejects.  A prime below 2 is not prime either, and
-# neither is 201: the limits come before the primality test.
+# (argv or config body, the rule's message).  The option parser reads any
+# integer, so each minimum is reached from argv too.  A prime below 2 is not
+# prime either, and neither is 201: the limits come before the primality test.
 RULE_CASES = [
     ({"primes": [3, "5"]}, "configuration key 'primes' must be a non-empty list of integers"),
     ({"primes": [3, 3]}, "configuration key 'primes' must not repeat a prime"),
@@ -124,7 +123,9 @@ RULE_CASES = [
     (["theorem-a", "--k", "1"], "k must be at least 3"),
     (["bockstein", "--pages", "1"], "pages must be at least 2"),
     ({"primes": [3], "pages": 1}, "pages must be at least 2"),
+    (["bernoulli", "--n-max", "0"], "n_max must be at least 1"),
     ({"primes": [3], "n_max": 0}, "n_max must be at least 1"),
+    (["akita", "--prime", "-3"], "prime must be at least 2"),
     ({"primes": [1]}, "prime must be at least 2"),
     (["akita", "--prime", "211"], "prime = 211 is above the ceiling 200"),
     ({"primes": [3, 201]}, "prime = 201 is above the ceiling 200"),
@@ -285,6 +286,28 @@ def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, chec
     errors = [row for row in json.loads(captured.out) if row["status"] == ERROR]
     assert errors and {row["check_name"] for row in errors} == {check_name}
     assert all(row["notes"][-1] == "ArithmeticError: setup failed" for row in errors)
+
+
+def _numerator_times_p(p, num_denom=exact.num_denom):
+    num, denom = num_denom(p)
+    return num * p, denom
+
+
+# Each mutation breaks one computed half of the akita certificate: the
+# conjugate-side pairing, or the numerator of B_p/2p as a unit mod p.
+@pytest.mark.parametrize(
+    "home,name,mutant",
+    [
+        (dyerlashof, "pair_primitive_s", lambda m, c: 0),
+        (exact, "num_denom", _numerator_times_p),
+    ],
+    ids=["zero-pairing", "numerator-divisible-by-p"],
+)
+def test_broken_certificate_fails_the_akita_row(monkeypatch, capsys, home, name, mutant):
+    monkeypatch.setattr(home, name, mutant)
+    assert main(["akita", "--prime", "5", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["status"], row["lhs"]) for row in rows] == [(FAIL, "certificate incomplete")]
 
 
 def test_bernoulli_suite_expands_few_series(monkeypatch):

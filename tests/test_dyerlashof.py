@@ -6,10 +6,10 @@ from kverify.dyerlashof import (
     Certificate,
     LeadingHomologyClass,
     akita_counterexample,
-    kappa_pairing,
     pair_primitive_s,
     q_on_bu,
 )
+from kverify.exact import num_denom
 
 
 # -- leading terms ----------------------------------------------------------
@@ -72,17 +72,6 @@ def test_primitive_pairing_scales_with_coefficient():
         assert pair_primitive_s(3, c) == (coeff * (-1) ** 3) % 5
 
 
-def test_suspension_image_pairing_vanishes():
-    assert kappa_pairing(5, ((0, 2),), 1) == 0
-    assert kappa_pairing(9, ((1, 3), (0, 1)), 2) == 0
-    with pytest.raises(ValueError):
-        kappa_pairing(5, (), 1)
-    with pytest.raises(ValueError):
-        kappa_pairing(5, ((0, 2),), 0)
-    with pytest.raises(ValueError):
-        kappa_pairing(0, ((0, 2),), 1)
-
-
 # -- the certificate --------------------------------------------------------
 
 
@@ -90,15 +79,19 @@ def test_suspension_image_pairing_vanishes():
 def test_certificate_holds(p):
     cert = akita_counterexample(p)
     assert isinstance(cert, Certificate)
-    assert cert.passed
+    assert cert.prime == p
+    assert cert.refutes
     assert cert.s_pairing == p - 1  # that is -1 mod p
-    assert cert.kappa_side == 0
-    assert cert.num_residue == cert.num % p != 0
-    assert cert.cleared_identity_ok
-    assert cert.distinct_mod_p
-    assert cert.genus_threshold == 8 * p - 3
-    assert cert.verdict == "conjecture fails mod p"
+    assert cert.num_residue == num_denom(p)[0] % p != 0
     assert len(cert.notes) == 5
+    assert "suspension image" in cert.notes[2]
+    assert f"genus threshold {8 * p - 3}" in cert.notes[4]
+
+
+def test_refutes_needs_both_computed_halves():
+    cert = akita_counterexample(5)
+    assert not cert._replace(s_pairing=0).refutes
+    assert not cert._replace(num_residue=0).refutes
 
 
 def test_certificate_rejects_bad_primes():
