@@ -29,11 +29,11 @@ coefficient to a requested order, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from . import series
 from .exact import bernoulli
@@ -111,8 +111,7 @@ def bh(order: int) -> KClass:
     )
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
+class SeriesCheck(NamedTuple):
     order: int
     passed: bool
     first_mismatch: int | None

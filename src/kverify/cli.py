@@ -62,12 +62,12 @@ DEFAULTS = {
 # series (`eigenvalue --k 999 --n-max 200` 26 s), `bernoulli`, `theorem-a`
 # and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
 # (the host's speed varies by about 1.6x), `artin-hasse --truncation 128`
-# 0.25 s and `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds
-# the page engine's degrees, given or its default 2 deg p^3 (119,164 in
-# `bockstein --prime 31`), and deg cannot exceed it; the engine walks a few
-# runs per page, but the report has a row per degree of nonzero homology, so
-# `bockstein --prime 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB)
-# takes about 2.5 s.
+# 0.25-0.35 s (0.5-0.6 s at --prime 199) and `bockstein --prime 31 --pages
+# 64` about 0.3 s.  max_deg bounds the page engine's degrees, given or its
+# default 2 deg p^3 (119,164 in `bockstein --prime 31`), and deg cannot
+# exceed it; the engine walks a few runs per page, but the report has a row
+# per degree of nonzero homology, so `bockstein --prime 3 --max-deg 250000
+# --pages 64` (125,242 rows, 33 MB) takes about 2.5 s.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),

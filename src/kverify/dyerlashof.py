@@ -18,28 +18,31 @@ to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
 from . import chern, exact, polyring
 
 
-@dataclass(frozen=True)
-class LeadingHomologyClass:
+class _LeadingFields(NamedTuple):
+    prime: int
+    generator_index: int
+    coefficient: int
+
+
+class LeadingHomologyClass(_LeadingFields):
     """c * a_m plus unspecified decomposables, mod p.
 
     Pairings with primitive cohomology classes depend only on (m, c): the
     primitives annihilate products, so the unknown tail never contributes.
     """
 
-    prime: int
-    generator_index: int
-    coefficient: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.coefficient < self.prime:
+    def __new__(cls, prime: int, generator_index: int, coefficient: int):
+        if not 0 <= coefficient < prime:
             raise ValueError("coefficient must be a reduced residue")
+        return super().__new__(cls, prime, generator_index, coefficient)
 
 
 def q_on_bu(j: int, n: int, p: int) -> LeadingHomologyClass:
@@ -112,15 +115,25 @@ def akita_counterexample(p: int) -> Certificate:
     s_pairing = pair_primitive_s(m, test_class)
     num = exact.num_denom(p)[0]
     num_residue = num % p
+    if num_residue:
+        numerator_note = (
+            f"numerator {num} of the weight-{p} Bernoulli ratio is a unit "
+            f"mod {p} (residue {num_residue}), so the cleared identity would "
+            f"force the two pairings to agree mod {p}"
+        )
+    else:
+        numerator_note = (
+            f"numerator {num} of the weight-{p} Bernoulli ratio is not a unit "
+            f"mod {p} (residue 0), so the cleared identity does not force the "
+            f"two pairings to agree"
+        )
     notes = (
         f"test class: double operation on the bottom generator, leading "
         f"term {test_class.coefficient} * a_{test_class.generator_index}",
         f"conjugate-side pairing at weight {m}: {s_pairing} mod {p}",
         "direct-side class is a suspension image, so it annihilates "
         "operation words: pairing 0",
-        f"numerator {num} of the weight-{p} Bernoulli ratio is a unit "
-        f"mod {p} (residue {num_residue}), so the cleared identity would "
-        f"force the two pairings to agree mod {p}",
+        numerator_note,
         f"genus threshold {8 * p - 3} is reported, not derived here",
     )
     return Certificate(p, s_pairing, num_residue, notes)

@@ -6,6 +6,9 @@ transfer classes for cyclic covers (rho, and the conjugate-average class r),
 the p-typical difference operations theta, and the p-local logarithm built
 from them.  The logarithm telescopes to (1 - psi^p/p) log(1-x); tests pin
 that closed form, the code here only ever evaluates the defining sums.
+Each power is taken once: theta^(p^t) raises g = f^(p^(t-1)) to the p-th
+power rather than f to the p^t-th, and the logarithm carries g from one t
+to the next instead of calling theta afresh.
 
 Everything is exact.  Division by p^t is checked coefficient by coefficient
 and raises IntegralityViolation, carrying the offending coefficient, rather
@@ -156,8 +159,8 @@ def theta(p: int, t: int, f: KClass) -> KClass:
         raise ValueError("theta is defined on classes with augmentation zero")
     if t == 0:
         return f
-    numerator = f ** (p**t) - psi(p, f ** (p ** (t - 1)))
-    return _divide_p_power(numerator, p, t)
+    g = f ** (p ** (t - 1))
+    return _divide_p_power(g**p - psi(p, g), p, t)
 
 
 def theta_on_suspension(p: int, t: int, s: SuspensionClass) -> SuspensionClass:
@@ -183,8 +186,11 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
     (1/n) * sum over t of theta^(p^t)(x^n).
 
     x must be reduced (augmentation zero) so the powers climb the u-adic
-    filtration and the sum is finite at each truncation.  The result is
-    p-locally integral, which the final claim re-validates.
+    filtration and the sum is finite at each truncation.  Each theta term is
+    theta's own expression, (g^p - psi^p(g)) / p^t for g = (x^n)^(p^(t-1)),
+    with g carried from one t to the next, so every power is taken once;
+    theta's input check runs once per n.  The result is p-locally integral,
+    which the final claim re-validates.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -197,10 +203,13 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
         if xn.is_zero():
             break
         if n % p != 0:
-            inner = KClass.zero(truncation, INTEGRAL)
-            t = 0
-            while t == 0 or n * p ** (t - 1) <= truncation:
-                inner = inner + theta(p, t, xn)
+            _check_theta_input(p, 0, xn.claim)
+            inner = g = xn  # the t = 0 term is x^n itself
+            t = 1
+            while n * p ** (t - 1) <= truncation:
+                g_next = g**p
+                inner = inner + _divide_p_power(g_next - psi(p, g), p, t)
+                g = g_next
                 t += 1
             total = total + inner * Fraction(-1, n)
         xn = xn * x

@@ -8,12 +8,14 @@ coefficient is read.  Each class carries a domain claim: a validated
 statement about where the coefficients live (integers, p-local integers,
 integers with k inverted, or plain rationals), bookkeeping, never a change
 of representation.  The claim is checked on every construction, by one test
-of the denominator: in lowest terms it is the lcm of the coefficients'
-denominators, and each claim is a condition on the primes of a denominator
-that holds for all of them exactly when it holds for their lcm (integral:
-the lcm is 1; p-local: p does not divide it; k-inverted: each of its primes
-divides k).  Only a failed test walks the coefficients, to name the first
-offender.
+of the integer denominator, with no Fraction built: in lowest terms it is
+the lcm of the coefficients' denominators, and each claim is a condition on
+the primes of a denominator that holds for all of them exactly when it
+holds for their lcm (integral: the lcm is 1; p-local: p does not divide it;
+k-inverted: each of its primes divides k).  Only a failed test walks the
+coefficients, to name the first offender.  A power f**n costs
+bit_length(n) - 1 squarings and popcount(n) - 1 further products, and no
+product with one.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -28,10 +30,10 @@ in kops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from . import series
 from .exact import frac_str, is_prime
@@ -55,40 +57,45 @@ def _only_primes_of(n: int, k: int) -> bool:
     return n <= 1 or pow(k, n.bit_length(), n) == 0
 
 
-@dataclass(frozen=True)
-class Claim:
+class _ClaimFields(NamedTuple):
+    kind: str
+    param: int | None = None
+
+
+class Claim(_ClaimFields):
     """Domain claim for coefficients: integral, p-local, k-inverted, rational.
 
     p-local(p) means denominators prime to p; k-inverted(k) means
     denominators divisible only by primes of k.  ``join`` returns the
     smallest of the four coefficient rings containing both operands, which
-    is the claim propagated through ring operations.
+    is the claim propagated through ring operations.  Claims compare and
+    hash as (kind, param) tuples.
     """
 
-    kind: str
-    param: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in ("integral", "rational"):
-            if self.param is not None:
-                raise ValueError(f"claim {self.kind} takes no parameter")
-        elif self.kind == "p-local":
-            if self.param is None or not is_prime(self.param):
+    def __new__(cls, kind: str, param: int | None = None):
+        if kind in ("integral", "rational"):
+            if param is not None:
+                raise ValueError(f"claim {kind} takes no parameter")
+        elif kind == "p-local":
+            if param is None or not is_prime(param):
                 raise ValueError("p-local claim needs a prime parameter")
-        elif self.kind == "k-inverted":
-            if self.param is None or self.param < 2:
+        elif kind == "k-inverted":
+            if param is None or param < 2:
                 raise ValueError("k-inverted claim needs k >= 2")
         else:
-            raise ValueError(f"unknown claim kind {self.kind!r}")
+            raise ValueError(f"unknown claim kind {kind!r}")
+        return super().__new__(cls, kind, param)
 
-    def admits(self, q: Fraction) -> bool:
-        q = Fraction(q)
+    def admits(self, den: int) -> bool:
+        """Whether a denominator den >= 1 in lowest terms meets the claim."""
         if self.kind == "integral":
-            return q.denominator == 1
+            return den == 1
         if self.kind == "p-local":
-            return q.denominator % self.param != 0
+            return den % self.param != 0
         if self.kind == "k-inverted":
-            return _only_primes_of(q.denominator, self.param)
+            return _only_primes_of(den, self.param)
         return True
 
     def admits_unit(self, q: Fraction) -> bool:
@@ -177,10 +184,10 @@ class KClass:
         if g != 1:
             den //= g
             nums = [x // g for x in nums]
-        if not claim.admits(Fraction(1, den)):
+        if not claim.admits(den):
             for i, x in enumerate(nums):
                 c = Fraction(x, den)
-                if not claim.admits(c):
+                if not claim.admits(c.denominator):
                     raise DomainClaimError(
                         f"coefficient {frac_str(c)} of u^{i} violates claim {claim.label()}"
                     )
@@ -194,10 +201,6 @@ class KClass:
     @classmethod
     def zero(cls, truncation: int, claim: Claim = INTEGRAL) -> "KClass":
         return cls((), truncation, claim, den=1)
-
-    @classmethod
-    def one(cls, truncation: int, claim: Claim = INTEGRAL) -> "KClass":
-        return cls((1,), truncation, claim, den=1)
 
     @classmethod
     def constant(cls, q, truncation: int, claim: Claim | None = None) -> "KClass":
@@ -291,12 +294,20 @@ class KClass:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        result = KClass.one(self.truncation, INTEGRAL)
+        if n == 0:
+            return KClass((1,), self.truncation, INTEGRAL, den=1)
+        # square up to the lowest set bit, then fold in each higher one:
+        # bit_length(n) - 1 squarings and popcount(n) - 1 further products
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

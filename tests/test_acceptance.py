@@ -108,10 +108,10 @@ def test_4_transfer_polynomial_identities():
         for exponents in ((1,), (2,), (1, 2), (1, 1), (2, 3), (1, 2, 3)):
             # the Euler class of a sum of lines is the product of the 1 - L^a,
             # and its transfer class the product of the line values
-            product = KClass.one(10, INTEGRAL)
-            rho = KClass.one(10, k_inverted(k))
+            product = line_power(0, 10, INTEGRAL)
+            rho = line_power(0, 10, k_inverted(k))
             for a in exponents:
-                product = product * (KClass.one(10) - line_power(a, 10))
+                product = product * (line_power(0, 10) - line_power(a, 10))
                 rho = rho * rho_line(k, a, 10)
             lhs = psi(k, product)
             rhs = k ** len(exponents) * rho * product

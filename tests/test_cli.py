@@ -310,6 +310,21 @@ def test_broken_certificate_fails_the_akita_row(monkeypatch, capsys, home, name,
     assert [(row["status"], row["lhs"]) for row in rows] == [(FAIL, "certificate incomplete")]
 
 
+def test_akita_note_says_when_the_numerator_is_not_a_unit(monkeypatch, capsys):
+    assert main(["akita", "--prime", "5", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert "Bernoulli ratio is a unit mod 5 (residue 1)" in row["notes"][3]
+    monkeypatch.setattr(exact, "num_denom", _numerator_times_p)
+    assert main(["akita", "--prime", "5", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["lhs"]) == (FAIL, "certificate incomplete")
+    assert row["notes"][3] == (
+        "numerator 5 of the weight-5 Bernoulli ratio is not a unit mod 5 "
+        "(residue 0), so the cleared identity does not force the two "
+        "pairings to agree"
+    )
+
+
 def test_bernoulli_suite_expands_few_series(monkeypatch):
     # a run up to n extends one expansion to exactly order 2n, and asking
     # for the top index first leaves nothing for the smaller ones to compute

@@ -59,7 +59,7 @@ def test_psi_is_a_ring_homomorphism(fg, k):
     f, g = fg
     assert psi(k, f + g) == psi(k, f) + psi(k, g)
     assert psi(k, f * g) == psi(k, f) * psi(k, g)
-    assert psi(k, KClass.one(f.truncation)) == KClass.one(f.truncation)
+    assert psi(k, line_power(0, f.truncation)) == line_power(0, f.truncation)
 
 
 @settings(max_examples=50)
@@ -131,7 +131,7 @@ def test_rho_line_defining_relation():
     # psi^k(1 - L^a) = k * rho * (1 - L^a), the cyclic-cover transfer law
     for k in (2, 3, 5):
         for a in (1, 2, 3):
-            lam = KClass.one(8) - line_power(a, 8)
+            lam = line_power(0, 8) - line_power(a, 8)
             assert psi(k, lam) == k * rho_line(k, a, 8) * lam
 
 
@@ -139,10 +139,10 @@ def test_rho_sum_defining_relation():
     for k in (2, 3):
         for exponents in ((1,), (1, 2), (2, 3), (1, 1, 2)):
             # the transfer class of a sum of lines is the product of the line values
-            product = KClass.one(8, INTEGRAL)
-            rho = KClass.one(8, k_inverted(k))
+            product = line_power(0, 8, INTEGRAL)
+            rho = line_power(0, 8, k_inverted(k))
             for a in exponents:
-                product = product * (KClass.one(8) - line_power(a, 8))
+                product = product * (line_power(0, 8) - line_power(a, 8))
                 rho = rho * rho_line(k, a, 8)
             lhs = psi(k, product)
             rhs = k ** len(exponents) * rho * product
@@ -296,6 +296,41 @@ def test_artin_hasse_log_closed_form():
                 assert lhs == rhs, (p, truncation)
 
 
+def _log_by_theta(p, x):
+    """The defining double sum, every term a public theta call."""
+    truncation = x.truncation
+    total = KClass.zero(truncation, INTEGRAL)
+    xn = x
+    for n in range(1, truncation + 1):
+        if xn.is_zero():
+            break
+        if n % p != 0:
+            inner = KClass.zero(truncation, INTEGRAL)
+            t = 0
+            while t == 0 or n * p ** (t - 1) <= truncation:
+                inner = inner + theta(p, t, xn)
+                t += 1
+            total = total + inner * Fraction(-1, n)
+        xn = xn * x
+    return total
+
+
+def test_artin_hasse_log_is_the_theta_sum():
+    # the logarithm carries its powers from one t to the next rather than
+    # calling theta; it must still equal the sum of theta terms
+    for p in (2, 3, 5):
+        for truncation in range(1, 13):
+            u = line_power(1, truncation) - 1
+            for x in (u, u * u, u + u * u):
+                got = artin_hasse_log(p, x)
+                assert got == _log_by_theta(p, x), (p, truncation)
+                assert got.claim == p_local(p)
+    u = line_power(1, 4) - 1
+    for claim in (p_local(5), k_inverted(3), RATIONAL):
+        with pytest.raises(ValueError):
+            artin_hasse_log(3, u.with_claim(claim))
+
+
 def test_artin_hasse_log_is_p_locally_integral():
     for p in (2, 3, 5, 7):
         u = line_power(1, 8) - 1
@@ -308,7 +343,7 @@ def test_artin_hasse_log_input_validation():
     with pytest.raises(ValueError):
         artin_hasse_log(6, KClass([0, 1], 3))
     with pytest.raises(ValueError):
-        artin_hasse_log(3, KClass.one(3))
+        artin_hasse_log(3, line_power(0, 3))
     with pytest.raises(ValueError):
         artin_hasse_log_on_suspension(9, suspend(KClass([1], 3)))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kverify import series
 from kverify.exact import frac_str
 from kverify.polyring import (
     INTEGRAL,
@@ -51,7 +52,7 @@ def test_ring_axioms(fgh):
     assert f * (g + h) == f * g + f * h
     n = f.truncation
     assert f + KClass.zero(n) == f
-    assert f * KClass.one(n) == f
+    assert f * line_power(0, n) == f
     assert f + (-f) == KClass.zero(n)
 
 
@@ -83,10 +84,45 @@ def test_scalar_minus_class_is_negated_class_minus_scalar(fs, q):
 @given(kclass_tuples(count=1, integral=True), st.integers(min_value=0, max_value=5))
 def test_power_is_repeated_product(fs, n):
     (f,) = fs
-    expected = KClass.one(f.truncation)
+    expected = line_power(0, f.truncation)
     for _ in range(n):
         expected = expected * f
     assert f**n == expected
+
+
+_POWER_SAMPLES = (
+    line_power(3, 6),  # a unit
+    KClass([0, 1, -2, 0, 3], 6, INTEGRAL),  # reduced
+    KClass([0, Fraction(1, 2), 1], 6, p_local(5)),  # reduced, 5-local
+    KClass([Fraction(1, 3), 1, Fraction(2, 9)], 6, k_inverted(3)),
+)
+
+
+def test_power_matches_repeated_product_with_the_same_claim():
+    for f in _POWER_SAMPLES:
+        expected = line_power(0, f.truncation)
+        for n in range(21):
+            got = f**n
+            assert (got, got.claim) == (expected, expected.claim), (f, n)
+            expected = expected * f
+
+
+def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
+    # from the lowest set bit up: bit_length(n) - 1 squarings and
+    # popcount(n) - 1 further products, none with the unit class
+    products = []
+    mul = series.mul
+
+    def counting_mul(*args):
+        products.append(1)
+        return mul(*args)
+
+    monkeypatch.setattr(series, "mul", counting_mul)
+    f = _POWER_SAMPLES[1]
+    for n in range(1, 41):
+        products.clear()
+        f**n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 @settings(max_examples=40)
@@ -98,7 +134,7 @@ def test_inverse_when_augmentation_nonzero(fs, unit):
         with pytest.raises(SingularInversion):
             g.invert()
     else:
-        assert g * g.invert() == KClass.one(f.truncation)
+        assert g * g.invert() == line_power(0, f.truncation)
         assert g**-1 == g.invert()
 
 
@@ -134,12 +170,12 @@ def test_coefficient_accessors():
 
 
 def test_claim_admits():
-    third = Fraction(1, 3)
-    assert INTEGRAL.admits(4) and not INTEGRAL.admits(third)
-    assert p_local(2).admits(third) and not p_local(3).admits(third)
-    assert k_inverted(6).admits(Fraction(5, 12))
-    assert not k_inverted(6).admits(Fraction(1, 5))
-    assert RATIONAL.admits(third)
+    # admits reads a lowest-terms denominator
+    assert INTEGRAL.admits(1) and not INTEGRAL.admits(3)
+    assert p_local(2).admits(3) and not p_local(3).admits(3)
+    assert k_inverted(6).admits(12)
+    assert not k_inverted(6).admits(5)
+    assert RATIONAL.admits(3)
 
 
 def test_claim_admits_unit():
@@ -194,7 +230,7 @@ def test_coefficients_are_read_as_fractions_and_still_checked():
         KClass([2, 0, Fraction(1, 3), 5], 3, p_local(3))
     with pytest.raises(DomainClaimError):
         (KClass([1, 2], 2, INTEGRAL) * half).with_claim(INTEGRAL)
-    assert INTEGRAL.admits(True) and not INTEGRAL.admits(half)
+    assert INTEGRAL.admits(Fraction(True).denominator) and not INTEGRAL.admits(half.denominator)
 
 
 # -- one denominator --------------------------------------------------------
@@ -213,7 +249,7 @@ claim_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=30)
 def test_denominator_check_matches_coefficient_check(coeffs, claim):
     # the claim test of the one denominator accepts and rejects exactly what
     # a test of each coefficient does, and names the same first offender
-    offender = next((i for i, c in enumerate(coeffs) if not claim.admits(c)), None)
+    offender = next((i for i, c in enumerate(coeffs) if not claim.admits(c.denominator)), None)
     if offender is None:
         assert KClass(coeffs, len(coeffs) - 1, claim).coeffs == tuple(coeffs)
         return
@@ -245,7 +281,7 @@ def test_every_class_is_in_lowest_terms(fg, q):
 
 def test_routes_to_one_value_compare_and_hash_equal():
     for n in (0, 1, 4, 9):
-        one = KClass.one(n)
+        one = line_power(0, n)
         for other in (
             line_power(-1, n) * line_power(1, n),
             line_power(2, n) * line_power(-2, n),
@@ -268,7 +304,7 @@ def test_equal_values_hash_equal(fg, q):
         if a == b:
             assert hash(a) == hash(b), (a, b)
     assert constant == q and hash(constant) == hash(q)
-    assert len({KClass.one(3), 1, KClass.one(3, RATIONAL)}) == 1
+    assert len({line_power(0, 3), 1, line_power(0, 3, RATIONAL)}) == 1
 
 
 def test_claim_constructor_rejects_bad_parameters():
@@ -287,7 +323,7 @@ def test_invert_requires_unit_augmentation_under_claim():
     with pytest.raises(DomainClaimError):
         f.invert()
     g = f.with_claim(k_inverted(2))
-    assert g * g.invert() == KClass.one(3)
+    assert g * g.invert() == line_power(0, 3)
     assert g.invert().claim == k_inverted(2)
 
 
@@ -295,7 +331,7 @@ def test_invert_requires_unit_augmentation_under_claim():
 
 
 def test_line_power_small_cases():
-    assert line_power(0, 3) == KClass.one(3)
+    assert line_power(0, 3) == KClass([1], 3)
     assert line_power(1, 3) == KClass([1, 1], 3)
     assert line_power(2, 3) == KClass([1, 2, 1], 3)
     # geometric series for the inverse line
