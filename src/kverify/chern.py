@@ -20,6 +20,10 @@ for the life of the process.  The key is the exact truncation, never a
 shared prefix: eigenvalue-truncation-stable compares the default window
 2n + 2 against a wider one (at least 2n + 3), and keyed this way the two
 sides are always two separate inversions, so the row can still fail.
+The eigenvalue itself is kept too, once per (k, 2n - 1, truncation), the
+same exact-truncation key: `all` asks theorem-a and eigenvalue for every
+default window at each prime, and the primes share k, so each window's
+s-numbers are evaluated once and a repeated request costs a lookup.
 
 The series checks at the bottom pin the two classical identities tying the
 multiplicative series (exp(x) - 1)/x to the positive even Bernoulli numbers
@@ -186,6 +190,12 @@ def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
     m = 2 * n - 1
     if truncation < m:
         raise ValueError(f"truncation {truncation} too small for s_{m}")
+    return _eigenvalue(k, m, truncation)
+
+
+@lru_cache(maxsize=None)
+def _eigenvalue(k: int, m: int, truncation: int) -> Fraction:
+    """rk_eigenvalue on s_m at exactly this truncation, computed once."""
     numerator = s_eval(m, _conjugate_average(k, truncation))
     denominator = s_eval(m, line_power(-1, truncation) - 1)
     if denominator != (-1) ** m:

@@ -62,7 +62,7 @@ DEFAULTS = {
 # series (`eigenvalue --k 999 --n-max 200` 26 s), `bernoulli`, `theorem-a`
 # and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
 # (the host's speed varies by about 1.6x), `artin-hasse --truncation 128`
-# 0.25-0.35 s (0.5-0.6 s at --prime 199) and `bockstein --prime 31 --pages
+# 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein --prime 31 --pages
 # 64` about 0.3 s.  max_deg bounds the page engine's degrees, given or its
 # default 2 deg p^3 (119,164 in `bockstein --prime 31`), and deg cannot
 # exceed it; the engine walks a few runs per page, but the report has a row
@@ -176,8 +176,12 @@ def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
 
 
 def _coeff_string(f) -> str:
-    # f is a KClass
-    return "[" + ", ".join(frac_str(c) for c in f.coeffs) + "]"
+    # f is a KClass; x/den in lowest terms is (x/g)/(den/g) for g = gcd(x, den)
+    parts = []
+    for x in f.nums:
+        g = gcd(x, f.den)
+        parts.append(f"{x // g}/{f.den // g}")
+    return "[" + ", ".join(parts) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ holds for their lcm (integral: the lcm is 1; p-local: p does not divide it;
 k-inverted: each of its primes divides k).  Only a failed test walks the
 coefficients, to name the first offender.  A power f**n costs
 bit_length(n) - 1 squarings and popcount(n) - 1 further products, and no
-product with one.
+product with one, unless it has vanished: a class of u-adic valuation
+v >= 1 (its first nonzero coefficient is at u^v) has f**n = 0 once
+v n > N, and that power is the zero class under f's claim, with no product.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -233,20 +235,24 @@ class KClass:
                 f"truncation {self.truncation} vs {other.truncation}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, KClass):
-            self._match(other)
-            d = lcm(self.den, other.den)
-            sa, sb = d // self.den, d // other.den
-            return KClass(
-                [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
-                self.truncation,
-                self.claim.join(other.claim),
-                den=d,
-            )
+    def _plus(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1, with no negated copy."""
         if isinstance(other, (int, Fraction)):
-            return self + KClass.constant(other, self.truncation)
-        return NotImplemented
+            other = KClass.constant(other, self.truncation)
+        elif not isinstance(other, KClass):
+            return NotImplemented
+        self._match(other)
+        d = lcm(self.den, other.den)
+        sa, sb = d // self.den, sign * (d // other.den)
+        return KClass(
+            [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
+            self.truncation,
+            self.claim.join(other.claim),
+            den=d,
+        )
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -254,9 +260,7 @@ class KClass:
         return KClass([-x for x in self.nums], self.truncation, self.claim, den=self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (KClass, int, Fraction)):
-            return self + (-other if isinstance(other, KClass) else -Fraction(other))
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -296,6 +300,10 @@ class KClass:
             return self.invert() ** (-n)
         if n == 0:
             return KClass((1,), self.truncation, INTEGRAL, den=1)
+        if not self.nums[0]:
+            v = next((i for i, x in enumerate(self.nums) if x), self.truncation + 1)
+            if v * n > self.truncation:
+                return KClass.zero(self.truncation, self.claim)
         # square up to the lowest set bit, then fold in each higher one:
         # bit_length(n) - 1 squarings and popcount(n) - 1 further products
         base = self
@@ -322,8 +330,15 @@ class KClass:
                 f"augmentation {frac_str(self.augmentation)} is not a unit under claim "
                 f"{self.claim.label()}; widen the claim to invert"
             )
-        inverse = islice(series.inv(self.coeffs), self.truncation + 1)
-        return KClass(tuple(inverse), self.truncation, self.claim)
+        # 1/(nums/den) = den/nums: invert the numerators, then scale by den
+        inverse = tuple(islice(series.inv(self.nums), self.truncation + 1))
+        d = lcm(*(q.denominator for q in inverse))
+        return KClass(
+            [q.numerator * (d // q.denominator) * self.den for q in inverse],
+            self.truncation,
+            self.claim,
+            den=d,
+        )
 
     # -- comparison --------------------------------------------------------
 

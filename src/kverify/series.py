@@ -6,10 +6,12 @@ for the Bernoulli expansion, the truncated polynomial ring and the Chern
 character module.
 
 mul is the one convolution kernel: integers in, integers out, as KClass
-products call it on their numerators.  compose and log1 scale their
-Fraction inputs once to integer numerators over one denominator and build
-one Fraction per output coefficient, so every coefficient is normalised
-once instead of once per product.
+products call it on their numerators.  compose scales its Fraction inputs
+once to integer numerators over one denominator and builds one Fraction
+per output coefficient, so every coefficient is normalised once instead of
+once per product.  log1 scales its input once the same way and runs the
+recurrence of (log a)' a = a' over integer numerators, keeping what it has
+found over one running denominator, as inv does.
 
 inv is a stream: it yields the inverse's coefficients one at a time, and
 coefficient m depends only on input terms 0..m, so one expansion grown on
@@ -109,19 +111,26 @@ def compose(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> Coeffs:
 
 
 def log1(a: Sequence[Fraction], order: int) -> Coeffs:
-    """log of a series with constant term 1: for a = 1 + nw/dw, the sum of
-    (-1)^(m-1) nw^m / (m dw^m) over the denominator lcm(1..order) dw^order."""
+    """log of a series with constant term 1, by (log a)' a = a': the
+    coefficient c_m = m b_m of (log a)' x satisfies
+    c_m = m a_m - sum_{0<j<m} c_j a_(m-j), since a_0 = 1."""
     if not a or a[0] != 1:
         raise ValueError("log needs constant term 1")
-    nw, dw = _over_lcm([0, *a[1 : order + 1]])
-    d = lcm(*range(1, order + 1)) * dw**order
-    out = [0] * (order + 1)
-    wpow = (1,)
+    # for a[j] = na[j] / da and c_j = nc[j] / e, c_m is
+    # (m na[m] e - sum_{0<j<m} nc[j] na[m-j]) / (da e)
+    na, da = _over_lcm(a[: order + 1])
+    na.extend(repeat(0, order + 1 - len(na)))
+    out = [Fraction(0)]
+    nc, e = [0], 1
     for m in range(1, order + 1):
-        wpow = mul(wpow, nw, order)
-        term = (-1) ** (m - 1) * d // (m * dw**m)
-        out = [x + term * y for x, y in zip(out, wpow)]
-    return tuple(Fraction(x, d) for x in out)
+        q = Fraction(m * na[m] * e - sum(map(_times, nc[1:], na[m - 1 : 0 : -1])), da * e)
+        out.append(q / m)
+        widen = q.denominator // gcd(e, q.denominator)
+        if widen != 1:
+            nc = [x * widen for x in nc]
+            e *= widen
+        nc.append(q.numerator * (e // q.denominator))
+    return tuple(out)
 
 
 def exp_minus_one(order: int) -> Coeffs:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kverify import chern
+from kverify import chern, series
 from kverify.chern import (
     bh,
     bh_log_identity_check,
@@ -200,6 +200,35 @@ def test_eigenvalue_truncation_stable():
         tight = rk_eigenvalue(5, n)
         wide = rk_eigenvalue(5, n, truncation=2 * n + 5)
         assert tight == wide, n
+
+
+def test_repeated_eigenvalue_is_a_lookup(monkeypatch):
+    # one computation per (k, 2n - 1, exact truncation): asked again, the
+    # eigenvalue costs no inversion and no s-number; a wider window is its
+    # own inversion
+    chern._conjugate_average.cache_clear()
+    chern._eigenvalue.cache_clear()
+    calls = []
+    inv, evaluate = series.inv, chern.s_eval
+
+    def counting_inv(a):
+        calls.append(("inv", len(a) - 1))
+        return inv(a)
+
+    def counting_s_eval(m, f):
+        calls.append(("s_eval", m))
+        return evaluate(m, f)
+
+    monkeypatch.setattr(series, "inv", counting_inv)
+    monkeypatch.setattr(chern, "s_eval", counting_s_eval)
+    n = 3
+    first = rk_eigenvalue(5, n)
+    assert calls == [("inv", 2 * n + 2), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
+    calls.clear()
+    assert rk_eigenvalue(5, n) == first == eigenvalue_closed_form(5, n)
+    assert calls == []
+    assert rk_eigenvalue(5, n, truncation=2 * n + 5) == first
+    assert calls == [("inv", 2 * n + 5), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
 
 
 def test_eigenvalue_input_validation():

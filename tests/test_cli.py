@@ -356,11 +356,16 @@ def test_bernoulli_suite_expands_few_series(monkeypatch):
         exact._series_coefficients.cache_clear()
 
 
+def _clear_eigenvalue_caches():
+    chern._conjugate_average.cache_clear()
+    chern._eigenvalue.cache_clear()
+
+
 @pytest.fixture
 def fresh_conjugate_average():
-    chern._conjugate_average.cache_clear()
+    _clear_eigenvalue_caches()
     yield
-    chern._conjugate_average.cache_clear()
+    _clear_eigenvalue_caches()
 
 
 def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_average):
@@ -375,7 +380,7 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
         return rows
 
     assert all(row.status == PASS for row in suites())  # fills the Bernoulli tables
-    chern._conjugate_average.cache_clear()
+    _clear_eigenvalue_caches()
     calls, taken = [], []
     inv = series.inv
 
@@ -585,7 +590,9 @@ def test_json_byte_stable_apart_from_timing(capsys):
 # captured before the pages were stored as arithmetic runs, reach page 64
 # at p = 31 and a degree bound below one period of the first page.  The
 # akita run, captured before the Bernoulli expansion became one growing
-# stream, pins B_199 at the prime ceiling (series order 398).
+# stream, pins B_199 at the prime ceiling (series order 398).  The
+# artin-hasse run at prime 199, captured before vanished powers were
+# skipped, is the input where most of the logarithm's powers vanish.
 GOLDEN_OUTPUTS = [
     (
         ["all", "--json"],
@@ -672,6 +679,13 @@ GOLDEN_OUTPUTS = [
         43531,
     ),
     (
+        ["artin-hasse", "--prime", "199", "--truncation", "128", "--json"],
+        None,
+        "f4a58822faf8f6e07b65fb53bdd9931aee24d814d3ab79a96fd750706e3137f0",
+        23,
+        158518,
+    ),
+    (
         ["bockstein", "--prime", "3", "--max-deg", "250000", "--pages", "64", "--json"],
         None,
         "5fed653da35c5f9d83de5233e9682adc9b7a1d4eb518980386c3c8b1ba5936bd",
@@ -697,6 +711,7 @@ GOLDEN_OUTPUTS = [
         "theorem-a-n200",
         "eigenvalue-n200",
         "artin-hasse-p3-t128",
+        "artin-hasse-p199-t128",
         "bockstein-p3-maxdeg250000-pages64",
     ],
 )

@@ -6,7 +6,7 @@ test only ever evaluates defining sums, so agreement is a real check.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +277,29 @@ def test_log_one_minus_basics():
     )
     with pytest.raises(ValueError):
         log_one_minus(line_power(1, 4))
+
+
+def _log1_over_common_denominator(a, order):
+    """The series logarithm summed as (-1)^(m-1) w^m / m over one common
+    denominator lcm(1..order) dw^order, for a = 1 + w and w = nw / dw."""
+    w = [Fraction(c) for c in a[1 : order + 1]]
+    dw = lcm(*(c.denominator for c in w))
+    nw = [0] + [c.numerator * (dw // c.denominator) for c in w]
+    d = lcm(*range(1, order + 1)) * dw**order
+    out = [0] * (order + 1)
+    wpow = (1,)
+    for m in range(1, order + 1):
+        wpow = series.mul(wpow, nw, order)
+        term = (-1) ** (m - 1) * d // (m * dw**m)
+        out = [x + term * y for x, y in zip(out, wpow)]
+    return tuple(Fraction(x, d) for x in out)
+
+
+def test_log_one_minus_matches_the_common_denominator_sum():
+    u = line_power(1, 128) - 1
+    for x in (u, u * u, u + u * u, Fraction(1, 3) * u + 2 * u**3):
+        expected = _log1_over_common_denominator((1 - x).coeffs, 128)
+        assert log_one_minus(x) == KClass(expected, 128)
 
 
 def test_artin_hasse_log_frozen_value():

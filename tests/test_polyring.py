@@ -109,7 +109,8 @@ def test_power_matches_repeated_product_with_the_same_claim():
 
 def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
     # from the lowest set bit up: bit_length(n) - 1 squarings and
-    # popcount(n) - 1 further products, none with the unit class
+    # popcount(n) - 1 further products, none with the unit class; and none
+    # at all once the power has vanished (valuation v = 1, v n > N = 6)
     products = []
     mul = series.mul
 
@@ -122,7 +123,40 @@ def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
     for n in range(1, 41):
         products.clear()
         f**n
-        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+        if n > f.truncation:
+            assert len(products) == 0, n
+        else:
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def test_vanished_power_is_the_zero_class_with_no_product(monkeypatch):
+    # f of u-adic valuation v >= 1 has f**n = 0 once v n > N: that power is
+    # still the repeated product, the zero class under f's claim, and takes
+    # no product; a class with a nonzero constant term never takes this way
+    u = line_power(1, 6) - 1
+    reduced = [(u, 1), (u * u, 2), (u + u * u, 1), (_POWER_SAMPLES[2], 1)]
+    products = []
+    mul = series.mul
+
+    def counting_mul(*args):
+        products.append(1)
+        return mul(*args)
+
+    cases = []
+    for f, v in reduced + [(_POWER_SAMPLES[0], 0), (_POWER_SAMPLES[3], 0)]:
+        expected = line_power(0, f.truncation)
+        for n in range(1, 3 * f.truncation):
+            expected = expected * f
+            cases.append((f, v, n, expected))
+    monkeypatch.setattr(series, "mul", counting_mul)
+    for f, v, n, expected in cases:
+        products.clear()
+        got = f**n
+        assert (got, got.claim) == (expected, expected.claim), (f, n)
+        if v and v * n > f.truncation:
+            assert got.is_zero() and products == [], (f, n)
+        else:
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, (f, n)
 
 
 @settings(max_examples=40)

@@ -130,6 +130,16 @@ def test_log1_matches_fraction_loop(rest, order):
     assert _exact(series.log1(a, order), ref_log1(a, order))
 
 
+def test_log1_when_the_denominator_widens_at_every_step():
+    # 1/(m+1)!, the series (exp(x) - 1)/x: each new term widens the common
+    # denominator of the input and of the recurrence
+    a = [Fraction(1, factorial(m + 1)) for m in range(41)]
+    full = series.log1(a, 40)
+    assert _exact(full, ref_log1(a, 40))
+    for order in range(40):
+        assert series.log1(a, order) == full[: order + 1]
+
+
 def test_order_zero():
     assert series.mul([Fraction(2, 3), 5], [Fraction(-3, 4), 1], 0) == (Fraction(-1, 2),)
     assert inv_to([Fraction(-2, 3), 1, 1], 0) == (Fraction(-3, 2),)
