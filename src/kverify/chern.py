@@ -7,11 +7,13 @@ rather than u.  The Chern character substitutes u -> exp(e) - 1, the
 additive Adams operation scales e^n by k^n, and the s-numbers are the
 rescaled coefficients m! [e^m] ch.
 
-The s-numbers never build ch.  Since (exp(e) - 1)^j = j! sum_m S(m, j) e^m/m!
-with S the Stirling numbers of the second kind, u^j contributes j! S(m, j)
-to m! [e^m] ch, and that integer counts the surjections from an m-set onto
-a j-set.  It vanishes for j > m, so s_m(f) is the dot product of c_0..c_m
-with one cached row of integers.  ch itself serves the series identities.
+ch and the s-numbers read one table.  Since
+(exp(e) - 1)^j = j! sum_m S(m, j) e^m/m! with S the Stirling numbers of the
+second kind, u^j contributes j! S(m, j) to m! [e^m] ch, and that integer
+counts the surjections from an m-set onto a j-set.  It vanishes for j > m,
+so s_m(f) is the dot product of c_0..c_m with one cached row of integers,
+and ch through e^N is series.compose of the numerators with the same rows
+scaled by N!/m!.  ch itself serves the series identities.
 
 The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
 r^k(conjugate line - 1), a series inversion over KClass.  That class does
@@ -46,7 +48,9 @@ from .polyring import RATIONAL, KClass, line_power
 
 
 def ch(f: KClass, order: int | None = None) -> KClass:
-    """Chern character: substitute u -> exp(e) - 1.
+    """Chern character: substitute u -> exp(e) - 1, by series.compose with
+    the powers of exp(e) - 1 that _exp_minus_one_powers reads off the
+    surjection rows s_eval uses.
 
     Only orders up to the K-theory truncation are geometrically determined,
     so asking beyond it is an error rather than a silent extrapolation.
@@ -58,9 +62,8 @@ def ch(f: KClass, order: int | None = None) -> KClass:
             f"order {order} exceeds truncation {f.truncation}; the discarded "
             f"u-powers would contribute"
         )
-    return KClass(
-        series.compose(f.coeffs, series.exp_minus_one(order), order), order, RATIONAL
-    )
+    out = series.compose(f.nums, _exp_minus_one_powers(order))
+    return KClass(out, order, RATIONAL, den=f.den * factorial(order))
 
 
 def psi_H(k: int, c: KClass) -> KClass:
@@ -87,6 +90,20 @@ def _surjections(m: int) -> tuple[int, ...]:
         prev = rows[-1] + (0,)
         rows.append((0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, len(prev))))
     return rows[m]
+
+
+@lru_cache(maxsize=None)
+def _exp_minus_one_powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """Row j: order! (exp(e) - 1)^j through e^order, from e^j on.
+
+    Its e^m entry is j! S(m, j) order!/m!, the surjection count read off
+    _surjections(m) and cleared of the 1/m!.
+    """
+    scale = [factorial(order) // factorial(m) for m in range(order + 1)]
+    return tuple(
+        tuple(_surjections(m)[j] * scale[m] for m in range(j, order + 1))
+        for j in range(order + 1)
+    )
 
 
 def s_eval(m: int, f: KClass) -> Fraction:

@@ -155,6 +155,13 @@ class CheckReport(NamedTuple):
     elapsed_ms: int
 
 
+def make_row(
+    name: str, parameters: dict, lhs: str, rhs: str, notes: tuple = (), elapsed_ms: int = 0
+) -> CheckReport:
+    """A row of a comparison that ran: PASS exactly when lhs == rhs."""
+    return CheckReport(name, parameters, PASS if lhs == rhs else FAIL, lhs, rhs, notes, elapsed_ms)
+
+
 def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckReport:
     """Evaluate one check; the thunk returns (lhs, rhs, extra_notes)."""
     start = time.perf_counter()
@@ -165,8 +172,7 @@ def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckRep
         failure_note = f"{type(err).__name__}: {err}"
         return CheckReport(name, parameters, ERROR, "", "", notes + (failure_note,), elapsed)
     elapsed = int((time.perf_counter() - start) * 1000)
-    status = PASS if lhs == rhs else FAIL
-    return CheckReport(name, parameters, status, lhs, rhs, notes + tuple(extra), elapsed)
+    return make_row(name, parameters, lhs, rhs, notes + tuple(extra), elapsed)
 
 
 def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
@@ -365,7 +371,8 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
         return _coeff_string(lhs), _coeff_string(rhs), ()
 
     rows = []
-    u = line_power(1, truncation) - 1
+    line = line_power(1, truncation)
+    u = line - 1
     samples = [("u", u), ("u^2", u * u), ("u+u^2", u + u * u)]
     for label, x in samples:
         for t in range(0, 4):
@@ -388,7 +395,7 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
                 ),
             )
         )
-    for label, f in (("L", line_power(1, truncation)), ("u", line_power(1, truncation) - 1)):
+    for label, f in (("L", line), ("u", u)):
         rows.append(
             run_check(
                 "double-loop-log-form",
@@ -401,7 +408,6 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
                 notes=(_SIGN_NOTE,),
             )
         )
-    u = line_power(1, truncation) - 1
     for n in range(1, min(6, truncation) + 1):
         rows.append(
             run_check(
@@ -418,54 +424,46 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
 
 
 def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[CheckReport]:
+    """Summary and dimension rows of each model.  Only the page-2 summary
+    row runs the page engine, so it is timed inside that row and a raise is
+    an ERROR row on every summary page; the other rows read its report."""
     from .bockstein import ModelKind, build_model, verify_closed_form_pages
 
     max_deg = max_deg or 2 * deg * p**3
     rows = []
     for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
-        rows += _bockstein_kind_rows(
-            lambda kind=kind: verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages),
-            kind_label,
-            p,
-            deg,
-            pages,
-        )
-    return rows
+        params = {"p": p, "deg": deg, "kind": kind_label}
+        found = []
 
+        def page_two():
+            found.append(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
+            return f"{found[0].mismatches[2]} mismatches", "0 mismatches", found[0].notes
 
-def _bockstein_kind_rows(
-    verify, kind_label: str, p: int, deg: int, pages: int
-) -> list[CheckReport]:
-    """Summary and dimension rows of one model, whose report verify()
-    builds.  The first summary row calls it, so the page engine is timed
-    inside that row and a raise is an ERROR row; the other rows read its
-    report."""
-    params = {"p": p, "deg": deg, "kind": kind_label}
-    found = []
-
-    def summary(page):
+        first = run_check("bockstein-page-summary", {**params, "page": 2}, page_two)
         if not found:
-            found.append(verify())
+            # the page engine raised: every summary row carries its error
+            rows += [first._replace(parameters={**params, "page": n}) for n in range(2, pages + 1)]
+            continue
         report = found[0]
-        notes = report.notes if page == 2 else ()
-        return f"{report.mismatches[page]} mismatches", "0 mismatches", notes
-
-    first = run_check("bockstein-page-summary", {**params, "page": 2}, lambda: summary(2))
-    if not found:
-        # the page engine raised: every summary row carries its error
-        return [first._replace(parameters={**params, "page": page}) for page in range(2, pages + 1)]
-    rows = [first] + [
-        run_check("bockstein-page-summary", {**params, "page": page}, lambda page=page: summary(page))
-        for page in range(3, pages + 1)
-    ]
-    for page, degree, computed, predicted in found[0].rows:
-        rows.append(
-            run_check(
+        rows.append(first)
+        rows += [
+            make_row(
+                "bockstein-page-summary",
+                {**params, "page": page},
+                f"{report.mismatches[page]} mismatches",
+                "0 mismatches",
+            )
+            for page in range(3, pages + 1)
+        ]
+        rows += [
+            make_row(
                 "bockstein-page-dimension",
                 {**params, "page": page, "degree": degree},
-                lambda computed=computed, predicted=predicted: (str(computed), str(predicted), ()),
+                str(computed),
+                str(predicted),
             )
-        )
+            for page, degree, computed, predicted in report.rows
+        ]
     return rows
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
 
 from . import series
 from .exact import is_prime, vp
@@ -66,19 +65,15 @@ def psi(k: int, f: KClass) -> KClass:
 
     Defined for any nonzero integer k (negative k through the integral
     expansion of (1+u)^k that line_power uses).  The substitution is a fixed
-    integer matrix, cached per (k, N), whose row j is ((1+u)^k - 1)^j; the
-    result's numerators are the class's numerators times that matrix, over
-    the class's denominator.  Coefficients of the result are integer
-    combinations of the input coefficients, so the claim is preserved and
-    validated once, on the result.
+    integer matrix, cached per (k, N), whose row j is ((1+u)^k - 1)^j;
+    series.compose sums the class's numerators against its rows, and the
+    result sits over the class's denominator.  Coefficients of the result
+    are integer combinations of the input coefficients, so the claim is
+    preserved and validated once, on the result.
     """
     if k == 0:
         raise ValueError("psi^0 is not an operation on these classes")
-    rows = _substitution_matrix(k, f.truncation)
-    out = [0] * (f.truncation + 1)
-    for j, (c, row) in enumerate(zip(f.nums, rows)):
-        if c:
-            out[j:] = map(add, out[j:], map(c.__mul__, row))
+    out = series.compose(f.nums, _substitution_matrix(k, f.truncation))
     return KClass(out, f.truncation, f.claim, den=f.den)
 
 

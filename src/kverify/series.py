@@ -1,17 +1,19 @@
 """Truncated power series kernels over exact rationals.
 
-A series of order d is a tuple of d + 1 Fractions, constant term first.
+A series of order d is a tuple of d + 1 coefficients, constant term first.
 Nothing here knows about K-theory; these are the shared arithmetic kernels
-for the Bernoulli expansion, the truncated polynomial ring and the Chern
-character module.
+for the Bernoulli expansion, the truncated polynomial ring, the Adams
+operations and the Chern character.
 
 mul is the one convolution kernel: integers in, integers out, as KClass
-products call it on their numerators.  compose scales its Fraction inputs
-once to integer numerators over one denominator and builds one Fraction
-per output coefficient, so every coefficient is normalised once instead of
-once per product.  log1 scales its input once the same way and runs the
-recurrence of (log a)' a = a' over integer numerators, keeping what it has
-found over one running denominator, as inv does.
+products call it on their numerators.  compose is the one substitution
+kernel, integers in and integers out the same way: given the powers of a
+series g, each caller's own and cached there, it sums f_j g^j for the
+integer numerators f_j, so psi substitutes (1+u)^k - 1 and ch substitutes
+exp(e) - 1 through the same loop.  log1 scales its input once to integer
+numerators over one denominator and runs the recurrence of (log a)' a = a'
+over them, keeping what it has found over one running denominator, as inv
+does.
 
 inv is a stream: it yields the inverse's coefficients one at a time, and
 coefficient m depends only on input terms 0..m, so one expansion grown on
@@ -26,20 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count, repeat
-from math import factorial, gcd, lcm
-from operator import mul as _times
+from math import gcd, lcm
+from operator import add, mul as _times
 from typing import Iterable, Iterator, Sequence
 
 Coeffs = tuple[Fraction, ...]
-
-def _over_lcm(coeffs: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """(numerators, d): integers whose quotients by d are the coefficients,
-    d the lcm of their denominators, with trailing zeros dropped."""
-    qs = list(coeffs)
-    while qs and qs[-1] == 0:
-        qs.pop()
-    d = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (d // q.denominator) for q in qs], d
 
 
 def mul(a: Sequence, b: Sequence, order: int) -> tuple:
@@ -94,20 +87,16 @@ def inv(a: Iterable[Fraction | int]) -> Iterator[Fraction]:
         nout.append(q.numerator * (e // q.denominator))
 
 
-def compose(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> Coeffs:
-    """f(g(x)) by Horner; g must have zero constant term.  For f = nf/df and
-    g = ng/dg the partial sum is acc/(df dg^t), and a step takes acc to
-    acc ng + c dg^(t+1) for the next numerator c of f."""
-    if g and g[0] != 0:
-        raise ValueError("composition needs a series with zero constant term")
-    nf, df = _over_lcm(f)
-    ng, dg = _over_lcm(g[: order + 1])
-    acc, scale = [0] * (order + 1), 1
-    for c in reversed(nf):
-        acc = list(mul(acc, ng, order))
-        scale *= dg
-        acc[0] += c * scale
-    return tuple(Fraction(x, df * scale) for x in acc)
+def compose(f: Sequence[int], powers: Sequence[Sequence[int]]) -> list[int]:
+    """f(g(x)) as sum_j f_j g^j, for integer f and the powers of g: row j of
+    powers holds g^j from x^j on (g has zero constant term, so the lower
+    terms vanish), and row 0, which is all of g^0, sets the order.  Zero
+    terms of f cost nothing."""
+    out = [0] * len(powers[0])
+    for j, (c, row) in enumerate(zip(f, powers)):
+        if c:
+            out[j:] = map(add, out[j:], map(c.__mul__, row))
+    return out
 
 
 def log1(a: Sequence[Fraction], order: int) -> Coeffs:
@@ -118,7 +107,9 @@ def log1(a: Sequence[Fraction], order: int) -> Coeffs:
         raise ValueError("log needs constant term 1")
     # for a[j] = na[j] / da and c_j = nc[j] / e, c_m is
     # (m na[m] e - sum_{0<j<m} nc[j] na[m-j]) / (da e)
-    na, da = _over_lcm(a[: order + 1])
+    a = a[: order + 1]
+    da = lcm(*(q.denominator for q in a))
+    na = [q.numerator * (da // q.denominator) for q in a]
     na.extend(repeat(0, order + 1 - len(na)))
     out = [Fraction(0)]
     nc, e = [0], 1
@@ -131,8 +122,3 @@ def log1(a: Sequence[Fraction], order: int) -> Coeffs:
             e *= widen
         nc.append(q.numerator * (e // q.denominator))
     return tuple(out)
-
-
-def exp_minus_one(order: int) -> Coeffs:
-    """exp(x) - 1 through the given order."""
-    return tuple(Fraction(1, factorial(m)) if m >= 1 else Fraction(0) for m in range(order + 1))

@@ -20,8 +20,9 @@ from kverify.chern import (
     s_eval,
 )
 from kverify.exact import choose_k, vp
-from kverify.kops import l_double_loop, psi
+from kverify.kops import l_double_loop, psi, rho_line
 from kverify.polyring import INTEGRAL, RATIONAL, KClass, line_power
+from test_series import ref_compose
 
 
 def test_ch_of_line_is_exponential():
@@ -66,6 +67,12 @@ def test_s_numbers_of_line_powers():
         s_eval(-1, line_power(1, 4))
 
 
+def ch_by_horner(f, order):
+    """ch(f) through e^order by a Fraction Horner loop with exp(e) - 1."""
+    exp_minus_one = [Fraction(0)] + [Fraction(1, factorial(m)) for m in range(1, order + 1)]
+    return ref_compose(f.coeffs, exp_minus_one, order)
+
+
 @st.composite
 def rational_classes_and_order(draw):
     truncation = draw(st.integers(min_value=0, max_value=20))
@@ -83,9 +90,25 @@ def rational_classes_and_order(draw):
 @settings(max_examples=60, deadline=None)
 @given(rational_classes_and_order())
 def test_s_eval_matches_character_route(fm):
-    # the surjection-number dot product against m! [e^m] of the full ch
+    # ch and s_eval read one table of surjection counts; both are checked
+    # against a Fraction Horner composition with exp(e) - 1
     f, m = fm
-    assert s_eval(m, f) == factorial(m) * ch(f, m).coeffs[m]
+    horner = ch_by_horner(f, m)
+    assert s_eval(m, f) == factorial(m) * horner[m]
+    assert ch(f, m).coeffs == horner
+
+
+def test_ch_of_the_conjugate_line_at_order_128():
+    # ch(L^-1) = exp(-e) at the largest truncation the CLI accepts
+    c = ch(line_power(-1, 128))
+    assert c.coeffs == tuple(Fraction((-1) ** m, factorial(m)) for m in range(129))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ch_of_the_averaged_line_matches_horner(k):
+    # the classes behind the series-psi-average rows
+    f = rho_line(k, 1, 30)
+    assert ch(f, 30).coeffs == ch_by_horner(f, 30)
 
 
 def test_surjection_row_requested_first_at_399(monkeypatch):
@@ -112,8 +135,8 @@ def test_surjection_row_requested_first_at_399(monkeypatch):
 
 def test_s_eval_window_edges():
     f = KClass([Fraction(1, 3), -2, Fraction(5, 7), 4, Fraction(-1, 2)], 4, RATIONAL)
-    assert s_eval(0, f) == Fraction(1, 3) == factorial(0) * ch(f, 0).coeffs[0]
-    assert s_eval(4, f) == factorial(4) * ch(f, 4).coeffs[4]
+    assert s_eval(0, f) == Fraction(1, 3) == factorial(0) * ch_by_horner(f, 0)[0]
+    assert s_eval(4, f) == factorial(4) * ch_by_horner(f, 4)[4]
     with pytest.raises(ValueError, match="order 5 exceeds truncation 4"):
         s_eval(5, f)
     with pytest.raises(ValueError, match="order 1 exceeds truncation 0"):

@@ -288,6 +288,24 @@ def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, chec
     assert all(row["notes"][-1] == "ArithmeticError: setup failed" for row in errors)
 
 
+def test_bockstein_runs_one_check_per_model(monkeypatch, capsys):
+    # the page-2 summary row runs the page engine; the other rows are built
+    # from its report without a check of their own
+    calls = []
+
+    def counted(name, parameters, thunk, notes=()):
+        calls.append((name, parameters))
+        return run_check(name, parameters, thunk, notes)
+
+    monkeypatch.setattr(cli, "run_check", counted)
+    assert main(["bockstein", "--prime", "31", "--pages", "3", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 3974
+    assert calls == [
+        ("bockstein-page-summary", {"p": 31, "deg": 2, "kind": kind, "page": 2})
+        for kind in ("type1", "type2")
+    ]
+
+
 def _numerator_times_p(p, num_denom=exact.num_denom):
     num, denom = num_denom(p)
     return num * p, denom

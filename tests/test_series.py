@@ -1,10 +1,10 @@
 """The series kernels against plain Fraction loops.
 
-mul is an integer convolution, and inv, compose and log1 sum integer
-numerators over common denominators; the reference loops below add one
-Fraction product at a time, as the kernels once did, and serve as the
-oracle.  compose and log1 reach mul through their own code.  inv is a
-stream, read here through inv_to, its prefix through a given order.
+mul is an integer convolution, compose an integer sum over given powers,
+and inv and log1 sum integer numerators over common denominators; the
+reference loops below add one Fraction product at a time, as the kernels
+once did, and serve as the oracle.  inv is a stream, read here through
+inv_to, its prefix through a given order.
 """
 
 from fractions import Fraction
@@ -90,6 +90,8 @@ coefficient = st.one_of(
     st.integers(-40, 40),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
 )
+# the same without the Fraction branch, for the integer-only kernels
+integer = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
 coefficients = st.lists(coefficient, min_size=1, max_size=12)
 nonzero = coefficient.filter(lambda c: c != 0)
 orders = st.integers(0, 16)
@@ -117,10 +119,18 @@ def test_inv_matches_fraction_loop(c, rest, order):
 
 
 @SERIES
-@given(st.lists(coefficient, min_size=1, max_size=8), coefficients, orders)
+@given(st.lists(integer, min_size=1, max_size=8), st.lists(integer, min_size=1, max_size=12), orders)
 def test_compose_matches_fraction_loop(f, g, order):
+    # integer f and the powers of an integer g with zero constant term, row j
+    # from x^j on, as psi and ch pass their cached tables
     g = [0, *g]
-    assert _exact(series.compose(f, g, order), ref_compose(f, g, order))
+    powers, power = [], fit([1], order)
+    for j in range(order + 1):
+        powers.append([int(x) for x in power[j:]])
+        power = ref_mul(power, g, order)
+    result = series.compose(f, powers)
+    assert all(type(x) is int for x in result)
+    assert tuple(result) == ref_compose(f, g, order)
 
 
 @SERIES
