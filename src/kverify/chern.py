@@ -126,10 +126,10 @@ def s_eval(m: int, f: KClass) -> Fraction:
 
 
 def bh(order: int) -> KClass:
-    """The multiplicative series (exp(x) - 1)/x as a polynomial through x^order."""
-    return KClass(
-        [Fraction(1, factorial(m + 1)) for m in range(order + 1)], order, RATIONAL
-    )
+    """The multiplicative series (exp(x) - 1)/x through x^order: its
+    coefficients 1/(m+1)! as the numerators (order+1)!/(m+1)! over (order+1)!."""
+    top = factorial(order + 1)
+    return KClass([top // factorial(m + 1) for m in range(order + 1)], order, RATIONAL, den=top)
 
 
 class SeriesCheck(NamedTuple):
@@ -153,7 +153,9 @@ def bh_log_identity_check(order: int) -> SeriesCheck:
     """
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
-    lhs = series.log1(bh(order).coeffs, order)
+    f = bh(order)
+    nums, den = series.log1(f.nums, f.den, order)
+    lhs = [Fraction(x, den) for x in nums]
     rhs = [Fraction(0)] * (order + 1)
     rhs[1] = Fraction(1, 2)
     for n in range(1, order // 2 + 1):

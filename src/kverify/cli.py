@@ -61,13 +61,14 @@ DEFAULTS = {
 # of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a k-term
 # series (`eigenvalue --k 999 --n-max 200` 26 s), `bernoulli`, `theorem-a`
 # and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
-# (the host's speed varies by about 1.6x), `artin-hasse --truncation 128`
-# 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein --prime 31 --pages
-# 64` about 0.3 s.  max_deg bounds the page engine's degrees, given or its
-# default 2 deg p^3 (119,164 in `bockstein --prime 31`), and deg cannot
-# exceed it; the engine walks a few runs per page, but the report has a row
-# per degree of nonzero homology, so `bockstein --prime 3 --max-deg 250000
-# --pages 64` (125,242 rows, 33 MB) takes about 2.5 s.
+# (`theorem-a --prime 199` 1.1-1.2 s; the host's speed varies by about
+# 1.6x), `artin-hasse --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime
+# 199) and `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds the
+# page engine's degrees, given or its default 2 deg p^3 (119,164 in
+# `bockstein --prime 31`), and deg cannot exceed it; the engine walks a few
+# runs per page, but the report has a row per degree of nonzero homology, so
+# `bockstein --prime 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB)
+# takes about 2.5 s.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),
@@ -86,6 +87,11 @@ class UsageError(Exception):
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, which is an int subclass
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _default_max_deg(deg: int, p: int) -> int:
+    """The page engine's degree bound when max_deg is not given."""
+    return 2 * deg * p**3
 
 
 def check_settings(command: str, settings: dict) -> None:
@@ -136,8 +142,8 @@ def check_settings(command: str, settings: dict) -> None:
         raise UsageError("max_deg must be at least deg")
     if command in ("bockstein", "all") and max_deg is None:
         ceiling = LIMITS["max_deg"][1]
-        # the default degree bound; `all` runs no page engine at p = 2
-        for bound in [2 * settings["deg"] * p**3 for p in primes if p != 2]:
+        # `all` runs no page engine at p = 2
+        for bound in [_default_max_deg(settings["deg"], p) for p in primes if p != 2]:
             if bound > ceiling:
                 raise UsageError(f"degree bound {bound} is above the ceiling {ceiling}")
     if command in ("artin-hasse", "all") and settings["truncation"] < 2:
@@ -429,7 +435,7 @@ def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[Che
     an ERROR row on every summary page; the other rows read its report."""
     from .bockstein import ModelKind, build_model, verify_closed_form_pages
 
-    max_deg = max_deg or 2 * deg * p**3
+    max_deg = max_deg or _default_max_deg(deg, p)
     rows = []
     for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
         params = {"p": p, "deg": deg, "kind": kind_label}

@@ -20,17 +20,16 @@ coefficients found so far and the ``series.inv`` stream that continues
 them.  Coefficient m of an inverse series depends only on the terms up to
 m, so ``bernoulli(n)`` extends that expansion to exactly order 2n, whatever
 order the indices are asked in, and a run up to n computes 2n + 1
-coefficients once.  ``bernoulli_recursive(n)`` extends one module-level
-list of signed B_j with the recurrence as far as index 2n.  The two routes
+coefficients once.  ``bernoulli_recursive(n)`` extends one record of the
+signed B_j with the recurrence as far as index 2n.  The two routes
 share no arithmetic: the recurrence never touches ``series``.
 
 Both routes sum integers.  The series route gets this from ``series.inv``;
-the recurrence writes the same idiom out on its own: it reads the table as
-integer numerators over the lcm of its denominators, sums each new entry's
-binomial terms as one integer, makes one Fraction of it, and rescales the
-numerators when that entry widens the common denominator.  The integers are
-rebuilt from the table on every call that extends it, so the table stays the
-one record of the recurrence.
+the recurrence writes the same idiom out on its own: its record is the
+numerators of B_0, B_1, ... over one common denominator, it sums each new
+entry's binomial terms as one integer, makes one Fraction of it, and
+rescales the numerators when that entry widens the common denominator.
+A Fraction of the record is built only for the index asked for.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, islice, repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -110,8 +109,12 @@ def bernoulli(n: int) -> Fraction:
     return (-1) ** (n - 1) * c * factorial(2 * n)
 
 
-#: Signed B_0, B_1, ... (B_1 = -1/2) from the binomial recurrence, grown on demand.
-_recurrence_table = [Fraction(1)]
+@lru_cache(maxsize=None)
+def _recurrence() -> tuple[list[int], list[int]]:
+    """The recurrence's record: the numerators of the signed B_0, B_1, ...
+    (B_1 = -1/2) found so far, and a one-item list holding their common
+    denominator."""
+    return [1], [1]
 
 
 def bernoulli_recursive(n: int) -> Fraction:
@@ -120,21 +123,16 @@ def bernoulli_recursive(n: int) -> Fraction:
     if n < 1:
         raise ValueError("Bernoulli index starts at 1")
     m = 2 * n
-    b = _recurrence_table
-    if len(b) <= m:
-        # b[i] = nums[i] / d for every i
-        d = lcm(*(q.denominator for q in b))
-        nums = [q.numerator * (d // q.denominator) for q in b]
-        for j in range(len(b), m + 1):
-            s = sum(comb(j + 1, i) * x for i, x in enumerate(nums) if x)
-            q = Fraction(-s, d * (j + 1))
-            b.append(q)
-            widen = q.denominator // gcd(d, q.denominator)
-            if widen != 1:
-                nums = [x * widen for x in nums]
-                d *= widen
-            nums.append(q.numerator * (d // q.denominator))
-    return (-1) ** (n - 1) * b[m]
+    nums, den = _recurrence()
+    for j in range(len(nums), m + 1):
+        s = sum(comb(j + 1, i) * x for i, x in enumerate(nums) if x)
+        q = Fraction(-s, den[0] * (j + 1))
+        widen = q.denominator // gcd(den[0], q.denominator)
+        if widen != 1:
+            nums[:] = [x * widen for x in nums]
+            den[0] *= widen
+        nums.append(q.numerator * (den[0] // q.denominator))
+    return (-1) ** (n - 1) * Fraction(nums[m], den[0])
 
 
 def generating_series_roundtrip(max_index: int) -> bool:
@@ -172,11 +170,13 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return order
 
 
+@lru_cache(maxsize=None)
 def choose_k(p: int) -> int:
     """Smallest odd k >= 3 generating (Z/p^2)* for odd p; k = 3 at p = 2.
 
     The group (Z/p^2)* is cyclic of order p(p-1); odd k hit every residue
-    class modulo the odd number p^2, so the search terminates.
+    class modulo the odd number p^2, so the search terminates.  Each prime's
+    search runs once per process.
     """
     _require_prime(p)
     if p == 2:

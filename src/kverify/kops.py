@@ -168,12 +168,15 @@ def theta_on_suspension(p: int, t: int, s: SuspensionClass) -> SuspensionClass:
 
 
 def log_one_minus(x: KClass) -> KClass:
-    """log(1 - x) = -sum x^m / m, truncated, by the series logarithm.
+    """log(1 - x) = -sum x^m / m, truncated, by the series logarithm on the
+    numerators of 1 - x over its denominator.
 
     x must be reduced: otherwise 1 - x has a constant term other than 1 and
     series.log1 raises ValueError.
     """
-    return KClass(series.log1((1 - x).coeffs, x.truncation), x.truncation)
+    y = 1 - x
+    nums, den = series.log1(y.nums, y.den, x.truncation)
+    return KClass(nums, x.truncation, den=den)
 
 
 def artin_hasse_log(p: int, x: KClass) -> KClass:

@@ -101,19 +101,10 @@ class Claim(_ClaimFields):
         return True
 
     def admits_unit(self, q: Fraction) -> bool:
-        """Whether q is invertible inside the claimed coefficient ring."""
+        """Whether q is invertible inside the claimed coefficient ring: q is
+        nonzero and its numerator, like its denominator, meets the claim."""
         q = Fraction(q)
-        if q == 0:
-            return False
-        if self.kind == "integral":
-            return abs(q) == 1
-        if self.kind == "p-local":
-            return q.numerator % self.param != 0 and q.denominator % self.param != 0
-        if self.kind == "k-inverted":
-            return _only_primes_of(q.numerator, self.param) and _only_primes_of(
-                q.denominator, self.param
-            )
-        return True
+        return q != 0 and self.admits(abs(q.numerator)) and self.admits(q.denominator)
 
     def join(self, other: "Claim") -> "Claim":
         if self == other:

@@ -10,29 +10,42 @@ products call it on their numerators.  compose is the one substitution
 kernel, integers in and integers out the same way: given the powers of a
 series g, each caller's own and cached there, it sums f_j g^j for the
 integer numerators f_j, so psi substitutes (1+u)^k - 1 and ch substitutes
-exp(e) - 1 through the same loop.  log1 scales its input once to integer
-numerators over one denominator and runs the recurrence of (log a)' a = a'
-over them, keeping what it has found over one running denominator, as inv
-does.
+exp(e) - 1 through the same loop.  log1 is integer in and out as well: it
+takes numerators over one denominator, as a KClass holds them, and runs the
+recurrence of (log a)' a = a' over them, keeping the logarithm's
+coefficients as numerators over one running denominator, which it returns.
 
 inv is a stream: it yields the inverse's coefficients one at a time, and
 coefficient m depends only on input terms 0..m, so one expansion grown on
 demand serves every order and a caller takes the prefix it needs with
 itertools.islice.  It keeps the input terms it has read and the
 coefficients it has found as integer numerators over one running
-denominator each, rescaled when a new term widens it, and it skips zero
-input terms, so a polynomial costs its nonzero terms per coefficient.
+denominator each, and it skips zero input terms, so a polynomial costs its
+nonzero terms per coefficient.  A running denominator grows in one place,
+_append, which inv calls for its input terms and coefficients and log1 for
+its coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
-from math import gcd, lcm
+from itertools import compress, count, islice, repeat
+from math import gcd
 from operator import add, mul as _times
 from typing import Iterable, Iterator, Sequence
 
-Coeffs = tuple[Fraction, ...]
+
+def _append(nums: list[int], den: int, q: Fraction | int) -> int:
+    """Append q to nums, integer numerators over den, and return their
+    denominator: den itself, or den widened, with nums rescaled in place,
+    when q's denominator does not divide it."""
+    d = q.denominator
+    widen = d // gcd(den, d)
+    if widen != 1:
+        nums[:] = [x * widen for x in nums]
+        den *= widen
+    nums.append(q.numerator * (den // d))
+    return den
 
 
 def mul(a: Sequence, b: Sequence, order: int) -> tuple:
@@ -57,34 +70,24 @@ def inv(a: Iterable[Fraction | int]) -> Iterator[Fraction]:
     c = next(terms, 0)
     if c == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (n0 e)
-    # for a[j] = na[j] / da, a0 = n0 / da and out[i] = nout[i] / e.  na holds
+    # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (na[0] e)
+    # for a[j] = na[j] / da and out[i] = nout[i] / e.  na holds a0 and then
     # the nonzero na[j], j >= 1, in order, and nonzero[j - 1] whether a[j] is
     # one of them, so compress pairs each with nout[m-j] from reversed(nout).
-    n0, da = c.numerator, c.denominator
-    na, nonzero = [], []
-    q = Fraction(da, n0)
+    na, da, nonzero = [c.numerator], c.denominator, []
+    q = Fraction(da, na[0])
     yield q
     nout, e = [q.numerator], q.denominator
     for m in count(1):
         c = next(terms, 0)
         if c:
-            den = c.denominator
-            widen = den // gcd(da, den)
-            if widen != 1:
-                na = [x * widen for x in na]
-                n0 *= widen
-                da *= widen
-            na.append(c.numerator * (da // den))
+            da = _append(na, da, c)
             nonzero.extend(repeat(False, m - 1 - len(nonzero)))
             nonzero.append(True)
-        q = Fraction(-sum(map(_times, na, compress(reversed(nout), nonzero))), n0 * e)
+        s = sum(map(_times, islice(na, 1, None), compress(reversed(nout), nonzero)))
+        q = Fraction(-s, na[0] * e)
         yield q
-        widen = q.denominator // gcd(e, q.denominator)
-        if widen != 1:
-            nout = [x * widen for x in nout]
-            e *= widen
-        nout.append(q.numerator * (e // q.denominator))
+        e = _append(nout, e, q)
 
 
 def compose(f: Sequence[int], powers: Sequence[Sequence[int]]) -> list[int]:
@@ -99,26 +102,17 @@ def compose(f: Sequence[int], powers: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def log1(a: Sequence[Fraction], order: int) -> Coeffs:
-    """log of a series with constant term 1, by (log a)' a = a': the
-    coefficient c_m = m b_m of (log a)' x satisfies
-    c_m = m a_m - sum_{0<j<m} c_j a_(m-j), since a_0 = 1."""
-    if not a or a[0] != 1:
+def log1(a: Sequence[int], den: int, order: int) -> tuple[list[int], int]:
+    """log of the series a / den, which has constant term 1 (a[0] == den),
+    as integer numerators over one denominator, by (log a)' a = a': its
+    coefficients b_m satisfy m b_m = m a_m - sum_{0<j<m} j b_j a_(m-j)."""
+    if not a or a[0] != den:
         raise ValueError("log needs constant term 1")
-    # for a[j] = na[j] / da and c_j = nc[j] / e, c_m is
-    # (m na[m] e - sum_{0<j<m} nc[j] na[m-j]) / (da e)
-    a = a[: order + 1]
-    da = lcm(*(q.denominator for q in a))
-    na = [q.numerator * (da // q.denominator) for q in a]
-    na.extend(repeat(0, order + 1 - len(na)))
-    out = [Fraction(0)]
-    nc, e = [0], 1
+    # for b_j = nb[j] / e, b_m is (m a[m] e - sum_{0<j<m} j nb[j] a[m-j]) / (m den e)
+    a = list(a[: order + 1])
+    a.extend(repeat(0, order + 1 - len(a)))
+    nb, e = [0], 1
     for m in range(1, order + 1):
-        q = Fraction(m * na[m] * e - sum(map(_times, nc[1:], na[m - 1 : 0 : -1])), da * e)
-        out.append(q / m)
-        widen = q.denominator // gcd(e, q.denominator)
-        if widen != 1:
-            nc = [x * widen for x in nc]
-            e *= widen
-        nc.append(q.numerator * (e // q.denominator))
-    return tuple(out)
+        s = sum(map(_times, map(_times, count(1), nb[1:]), a[m - 1 : 0 : -1]))
+        e = _append(nb, e, Fraction(m * a[m] * e - s, m * den * e))
+    return nb, e

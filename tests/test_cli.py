@@ -356,7 +356,7 @@ def test_bernoulli_suite_expands_few_series(monkeypatch):
 
     monkeypatch.setattr(series, "inv", counting_inv)
     exact._series_coefficients.cache_clear()
-    del exact._recurrence_table[1:]
+    exact._recurrence.cache_clear()
     try:
         assert all(row.status == PASS for row in cmd_bernoulli(80))
         assert exact._series_coefficients.cache_info().misses == 1
@@ -372,6 +372,22 @@ def test_bernoulli_suite_expands_few_series(monkeypatch):
         assert exact._series_coefficients.cache_info().misses == 1
     finally:
         exact._series_coefficients.cache_clear()
+
+
+def test_theorem_a_searches_for_the_generator_once(monkeypatch):
+    # every denominator-valuation row reads the generator k of (Z/p^2)*;
+    # at p = 199 the search for it is one multiplicative order, taken once
+    calls = []
+    order = exact.multiplicative_order
+
+    def counting_order(a, modulus):
+        calls.append((a, modulus))
+        return order(a, modulus)
+
+    monkeypatch.setattr(exact, "multiplicative_order", counting_order)
+    exact.choose_k.cache_clear()
+    assert all(row.status == PASS for row in cmd_theorem_a(199, None, 5))
+    assert calls == [(3, 199**2)]
 
 
 def _clear_eigenvalue_caches():
@@ -507,13 +523,15 @@ def _public_entry_points():
     """(name, code objects) for each public function of the modules; for
     each public non-exception class with its own __init__ or __post_init__;
     and for each public method, property or dunder written in such a class's
-    body.  Methods that the dataclass, NamedTuple and Enum machinery
-    generate have no code in the module's file and are left out."""
+    body.  A cached function counts by the function it wraps.  Methods that
+    the dataclass, NamedTuple and Enum machinery generate have no code in
+    the module's file and are left out."""
     for module_name in MODULES:
         module = importlib.import_module(f"kverify.{module_name}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
+            obj = inspect.unwrap(obj)
             if inspect.isfunction(obj):
                 yield f"{module_name}.{name}", {obj.__code__}
             elif inspect.isclass(obj) and not issubclass(obj, BaseException):
@@ -541,6 +559,11 @@ def test_all_run_reaches_every_public_entry_point(tmp_path, capsys):
     # Code that only tests reach either earns a report row or is deleted.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [2, 3], "n_max": 2, "truncation": 4}))
+    # a cache that an earlier test filled would hide the code behind it
+    for module_name in MODULES:
+        for obj in vars(importlib.import_module(f"kverify.{module_name}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
     called = set()
 
     def record(frame, event, arg):
@@ -683,6 +706,13 @@ GOLDEN_OUTPUTS = [
         438429,
     ),
     (
+        ["theorem-a", "--prime", "199", "--n-max", "200", "--json"],
+        None,
+        "895ea12a79a6c9426a33c84badea372a52f6ac41ab1ad7751f86c0057703f3ff",
+        800,
+        421909,
+    ),
+    (
         ["eigenvalue", "--n-max", "200", "--json"],
         None,
         "aa835ddc3d3b19fba43936bdd5c79e0d9ee754a945a65d94dadca6529f640d9c",
@@ -727,6 +757,7 @@ GOLDEN_OUTPUTS = [
         "bockstein-p3-deg4-maxdeg7-pages64",
         "akita-p199",
         "theorem-a-n200",
+        "theorem-a-p199-n200",
         "eigenvalue-n200",
         "artin-hasse-p3-t128",
         "artin-hasse-p199-t128",

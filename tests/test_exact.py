@@ -66,7 +66,7 @@ def test_series_route_matches_recursive_route():
 
 def _clear_tables():
     exact._series_coefficients.cache_clear()
-    del exact._recurrence_table[1:]
+    exact._recurrence.cache_clear()
 
 
 def test_tables_do_not_depend_on_request_order():
@@ -116,12 +116,13 @@ def test_generating_series_roundtrip():
 
 def test_roundtrip_sees_a_corrupted_recurrence():
     assert generating_series_roundtrip(10)
-    saved = exact._recurrence_table[8]
-    exact._recurrence_table[8] += Fraction(1, 10**6)
+    nums, den = exact._recurrence()
+    saved = nums[8]
+    nums[8] += 1  # entry 8 moves by 1 / den[0]
     try:
         assert not generating_series_roundtrip(10)
     finally:
-        exact._recurrence_table[8] = saved
+        nums[8] = saved
     assert generating_series_roundtrip(10)
 
 
