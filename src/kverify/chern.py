@@ -16,9 +16,10 @@ and ch through e^N is series.compose of the numerators with the same rows
 scaled by N!/m!.  ch itself serves the series identities.
 
 The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
-r^k(conjugate line - 1), a series inversion over KClass.  That class does
-not depend on the prime, so it is built once per (k, truncation) and kept
-for the life of the process.  The key is the exact truncation, never a
+r^k(conjugate line - 1), whose coefficients kops.r_line_conjugate reads
+off one series.inv stream of a binomial row.  That class does not depend
+on the prime, so it is built once per (k, truncation) and kept for the
+life of the process.  The key is the exact truncation, never a
 shared prefix: eigenvalue-truncation-stable compares the default window
 2n + 2 against a wider one (at least 2n + 3), and keyed this way the two
 sides are always two separate inversions, so the row can still fail.

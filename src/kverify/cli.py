@@ -58,17 +58,18 @@ DEFAULTS = {
 # The ceilings bound the inputs whose cost grows without bound, each above
 # every documented use (one fresh process each, 2-vCPU host, Python 3.11.7):
 # is_prime is trial division and the akita certificate needs B_p, a series
-# of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a k-term
-# series (`eigenvalue --k 999 --n-max 200` 26 s), `bernoulli`, `theorem-a`
-# and `eigenvalue` at `--n-max 200` take 0.4-0.6, 0.9-1.2 and 1.4-1.8 s
-# (`theorem-a --prime 199` 1.1-1.2 s; the host's speed varies by about
-# 1.6x), `artin-hasse --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime
-# 199) and `bockstein --prime 31 --pages 64` about 0.3 s.  max_deg bounds the
-# page engine's degrees, given or its default 2 deg p^3 (119,164 in
-# `bockstein --prime 31`), and deg cannot exceed it; the engine walks a few
-# runs per page, but the report has a row per degree of nonzero homology, so
-# `bockstein --prime 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB)
-# takes about 2.5 s.
+# of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a row of
+# binomial coefficients C(k, j), whose entries grow with k, at each window
+# (`eigenvalue --prime 5 --k 999 --n-max 200` 10-14 s, `theorem-a` at the
+# same inputs 6-9 s), `bernoulli`, `theorem-a` and `eigenvalue` at
+# `--n-max 200` take 0.3-0.45, 0.6-1.0 and 0.9-1.25 s (`theorem-a --prime
+# 199` 0.6-0.8 s; the host's speed varies by about 1.6x), `artin-hasse
+# --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein
+# --prime 31 --pages 64` 0.1-0.2 s.  max_deg bounds the page engine's
+# degrees, given or its default 2 deg p^3 (119,164 in `bockstein --prime
+# 31`), and deg cannot exceed it; the engine walks a few runs per page, but
+# the report has a row per degree of nonzero homology, so `bockstein --prime
+# 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB) takes 1.4-2.0 s.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),

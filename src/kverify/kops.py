@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from . import series
@@ -98,12 +99,18 @@ def r_line_conjugate(k: int, truncation: int) -> KClass:
     exact polynomial identity (L - 1) * numerator = denominator - k, which
     the tests use as an algebra-level check independent of any series
     expansion, with both sums rebuilt there from line powers.
+
+    With u = L - 1 the identity reads numerator = (denominator - k) / u, so
+    the average is r = (1 - k/denominator) / u.  The inverse of the
+    denominator row starts at 1/k, so 1 - k/denominator has no constant
+    term and r_j = -k [u^(j+1)] denominator^(-1).  The class at truncation
+    N is therefore coefficients 1..N+1 of one inversion stream, scaled by -k;
+    they need the row's terms only through u^(N+1).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    num = KClass([comb(k, j + 2) for j in range(truncation + 1)], truncation, INTEGRAL, den=1)
-    den = KClass([comb(k, j + 1) for j in range(truncation + 1)], truncation, k_inverted(k), den=1)
-    return num * den.invert()
+    inverse = islice(series.inv([comb(k, j + 1) for j in range(truncation + 2)]), 1, truncation + 2)
+    return KClass(list(inverse), truncation, k_inverted(k)) * -k
 
 
 def r_virtual_conjugate_minus_one(k: int, truncation: int) -> KClass:

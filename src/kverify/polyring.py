@@ -18,6 +18,7 @@ bit_length(n) - 1 squarings and popcount(n) - 1 further products, and no
 product with one, unless it has vanished: a class of u-adic valuation
 v >= 1 (its first nonzero coefficient is at u^v) has f**n = 0 once
 v n > N, and that power is the zero class under f's claim, with no product.
+f**0 is the unit; the model takes no inverse, so a negative n is refused.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -33,7 +34,6 @@ in kops.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -45,12 +45,8 @@ class TruncationMismatch(ValueError):
     """Arithmetic between classes at different truncations."""
 
 
-class SingularInversion(ZeroDivisionError):
-    """Inversion of a class whose augmentation is zero."""
-
-
 class DomainClaimError(ValueError):
-    """A coefficient (or an augmentation unit check) violates the claim."""
+    """A coefficient violates the claim."""
 
 
 def _only_primes_of(n: int, k: int) -> bool:
@@ -100,12 +96,6 @@ class Claim(_ClaimFields):
             return _only_primes_of(den, self.param)
         return True
 
-    def admits_unit(self, q: Fraction) -> bool:
-        """Whether q is invertible inside the claimed coefficient ring: q is
-        nonzero and its numerator, like its denominator, meets the claim."""
-        q = Fraction(q)
-        return q != 0 and self.admits(abs(q.numerator)) and self.admits(q.denominator)
-
     def join(self, other: "Claim") -> "Claim":
         if self == other:
             return self
@@ -148,7 +138,7 @@ def _scalar_claim(q: Fraction) -> Claim:
 class KClass:
     """Element of Q[u]/(u^(N+1)) carrying a validated domain claim.
 
-    ``KClass(coeffs, N, claim)`` takes rational coefficients, and
+    ``KClass(coeffs, N, claim)`` takes int or Fraction coefficients, and
     ``KClass(nums, N, claim, den=d)`` integer numerators over d >= 1.
 
     Instances are immutable by convention.  Equality and hashing compare
@@ -165,7 +155,7 @@ class KClass:
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         if den is None:
-            qs = [Fraction(c) for c in coeffs][: truncation + 1]
+            qs = coeffs[: truncation + 1]
             den = lcm(*(q.denominator for q in qs))
             nums = [q.numerator * (den // q.denominator) for q in qs]
         elif den < 1:
@@ -288,7 +278,7 @@ class KClass:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.invert() ** (-n)
+            raise ValueError("the truncated model takes no inverse")
         if n == 0:
             return KClass((1,), self.truncation, INTEGRAL, den=1)
         if not self.nums[0]:
@@ -309,27 +299,6 @@ class KClass:
                 result = result * base
             n >>= 1
         return result
-
-    def invert(self) -> "KClass":
-        """Inverse in the truncated ring; the augmentation must be a unit of
-        the claimed coefficient ring (widen the claim to k-inverted or
-        rational when it is not)."""
-        if self.augmentation == 0:
-            raise SingularInversion("augmentation is zero")
-        if not self.claim.admits_unit(self.augmentation):
-            raise DomainClaimError(
-                f"augmentation {frac_str(self.augmentation)} is not a unit under claim "
-                f"{self.claim.label()}; widen the claim to invert"
-            )
-        # 1/(nums/den) = den/nums: invert the numerators, then scale by den
-        inverse = tuple(islice(series.inv(self.nums), self.truncation + 1))
-        d = lcm(*(q.denominator for q in inverse))
-        return KClass(
-            [q.numerator * (d // q.denominator) * self.den for q in inverse],
-            self.truncation,
-            self.claim,
-            den=d,
-        )
 
     # -- comparison --------------------------------------------------------
 

@@ -228,7 +228,8 @@ def test_eigenvalue_truncation_stable():
 def test_repeated_eigenvalue_is_a_lookup(monkeypatch):
     # one computation per (k, 2n - 1, exact truncation): asked again, the
     # eigenvalue costs no inversion and no s-number; a wider window is its
-    # own inversion
+    # own inversion.  The class at window T reads the inverse of the
+    # binomial row through u^(T+1), so the row it inverts has T + 2 terms.
     chern._conjugate_average.cache_clear()
     chern._eigenvalue.cache_clear()
     calls = []
@@ -246,12 +247,12 @@ def test_repeated_eigenvalue_is_a_lookup(monkeypatch):
     monkeypatch.setattr(chern, "s_eval", counting_s_eval)
     n = 3
     first = rk_eigenvalue(5, n)
-    assert calls == [("inv", 2 * n + 2), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
+    assert calls == [("inv", 2 * n + 3), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
     calls.clear()
     assert rk_eigenvalue(5, n) == first == eigenvalue_closed_form(5, n)
     assert calls == []
     assert rk_eigenvalue(5, n, truncation=2 * n + 5) == first
-    assert calls == [("inv", 2 * n + 5), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
+    assert calls == [("inv", 2 * n + 6), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
 
 
 def test_eigenvalue_input_validation():

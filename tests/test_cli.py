@@ -236,6 +236,35 @@ def test_oversized_input_exits_two(tmp_path, argv, config):
     assert "ceiling" in proc.stderr
 
 
+def _readme_ceiling_table():
+    """{setting: (minimum cell, ceiling cell)} from README's table of input
+    ceilings, keyed by the first option each row names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    header = "| input | minimum | ceiling | why the ceiling |"
+    table = {}
+    for line in readme[readme.index(header) :].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        option = re.search(r"`--([a-z-]+)", cells[0]).group(1)
+        table[option.replace("-", "_")] = (cells[1], cells[2])
+    return table
+
+
+def test_readme_ceiling_table_matches_limits():
+    table = _readme_ceiling_table()
+    assert set(table) == set(cli.LIMITS)
+    for key, (minimum, ceiling) in cli.LIMITS.items():
+        minimum_cell, ceiling_cell = table[key]
+        assert ceiling_cell == str(ceiling), key
+        number = re.match(r"\d+", minimum_cell)
+        if number is None:
+            # max_deg may not be below deg, whose minimum is above max_deg's
+            assert (key, minimum_cell) == ("max_deg", "deg")
+        else:
+            assert int(number.group()) == minimum, key
+
+
 def test_error_row_exits_one(monkeypatch, capsys):
     # a computation that raises inside a row is an ERROR row and a red run
     def broken(*args, **kwargs):
@@ -404,7 +433,8 @@ def fresh_conjugate_average():
 
 def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_average):
     # the class r^k(conjugate line - 1) does not depend on p, so the three
-    # primes (all with k = 3) share one inversion per exact truncation
+    # primes (all with k = 3) share one inversion per exact truncation; the
+    # class at window w reads coefficients 0..w+1 of a row of w + 2 terms
     n_max, truncation = 3, 8
 
     def suites():
@@ -431,8 +461,8 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
     assert keys == {3}
     windows = {2 * n + 2 for n in range(1, n_max + 1)}
     windows |= {max(truncation, 2 * n + 3) for n in range(1, n_max + 1)}
-    assert sorted(calls) == sorted(windows)
-    assert sorted(taken) == sorted(w + 1 for w in windows)
+    assert sorted(calls) == sorted(w + 1 for w in windows)
+    assert sorted(taken) == sorted(w + 2 for w in windows)
 
 
 def test_truncation_stable_row_compares_separate_inversions(
@@ -765,15 +795,19 @@ GOLDEN_OUTPUTS = [
     ],
 )
 def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, size):
+    run = argv
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        argv = argv + ["--config", str(path)]
-    assert main(argv) == 0
+        run = argv + ["--config", str(path)]
+    assert main(run) == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
-    assert len(json.loads(text)) == rows
-    assert len(text.encode()) == size
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    data = text.encode()
+    captured = (hashlib.sha256(data).hexdigest(), len(json.loads(text)), len(data))
+    # a mismatch reports the capture as one GOLDEN_OUTPUTS entry, ready to paste
+    body = "None" if config is None else json.dumps(config)
+    entry = f'({json.dumps(argv)}, {body}, "{captured[0]}", {captured[1]}, {captured[2]}),'
+    assert captured == (sha256, rows, size), f"captured {entry}"
 
 
 # every string field also draws quotes, backslashes, control characters,

@@ -194,6 +194,27 @@ def test_conjugate_average_polynomial_identity():
             assert r_line_conjugate(k, truncation) * den == num
 
 
+def _long_division(a, b, truncation):
+    """a / b through u^truncation, quotient term by term."""
+    quotient = []
+    for j in range(truncation + 1):
+        rest = a[j] - sum(quotient[i] * b[j - i] for i in range(j))
+        quotient.append(Fraction(rest, b[0]))
+    return quotient
+
+
+def test_conjugate_average_at_windows_shorter_than_its_rows():
+    # the numerator row C(k, j+2) divided by the denominator row C(k, j+1),
+    # long-hand, including windows far shorter than the k-term rows
+    for k in (2, 3, 7, 999):
+        for truncation in (0, 1, 2, 4):
+            num = [comb(k, j + 2) for j in range(truncation + 1)]
+            den = [comb(k, j + 1) for j in range(truncation + 1)]
+            got = r_line_conjugate(k, truncation)
+            assert got.coeffs == tuple(_long_division(num, den, truncation)), (k, truncation)
+            assert (got.truncation, got.claim) == (truncation, k_inverted(k))
+
+
 def test_virtual_conjugate_reduced():
     for k in (3, 5, 7):
         f = r_virtual_conjugate_minus_one(k, 6)
