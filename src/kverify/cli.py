@@ -13,18 +13,19 @@ any row is FAIL or ERROR, 2 for usage or config problems.
 
 Every command shares the exact module; each suite imports the other modules
 it runs when it starts, so `bernoulli` loads only exact and series, and
-`bockstein` adds only the page engine.
+`bockstein` adds only the page engine.  The JSON output takes only the C
+string encoder, so no command but `all --config` imports the json package.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exact import (
@@ -65,11 +66,11 @@ DEFAULTS = {
 # `--n-max 200` take 0.3-0.45, 0.6-1.0 and 0.9-1.25 s (`theorem-a --prime
 # 199` 0.6-0.8 s; the host's speed varies by about 1.6x), `artin-hasse
 # --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein
-# --prime 31 --pages 64` 0.1-0.2 s.  max_deg bounds the page engine's
+# --prime 31 --pages 64` 0.1-0.17 s.  max_deg bounds the page engine's
 # degrees, given or its default 2 deg p^3 (119,164 in `bockstein --prime
 # 31`), and deg cannot exceed it; the engine walks a few runs per page, but
 # the report has a row per degree of nonzero homology, so `bockstein --prime
-# 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB) takes 1.4-2.0 s.
+# 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB) takes 0.85-1.5 s.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),
@@ -182,10 +183,42 @@ def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckRep
     return make_row(name, parameters, lhs, rhs, notes + tuple(extra), elapsed)
 
 
+def _report_order(parameters: dict):
+    """The names of a row's parameters in report order (sorted), and a
+    function from the parameters of a row with those names to their values
+    in that order, as a tuple.  Each report computes it once per row shape."""
+    order = tuple(sorted(parameters))
+    if len(order) > 1:
+        return order, itemgetter(*order)
+    return order, lambda values: tuple(map(values.__getitem__, order))
+
+
 def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
-    # within one check name each parameter is always an int or always a
-    # str, so the values compare directly and integers sort numerically
-    return sorted(rows, key=lambda r: (r.check_name, sorted(r.parameters.items())))
+    """The rows ordered by (check_name, sorted(parameters.items())).
+
+    The key is that one flattened, [check_name, k1, v1, k2, v2, ...], which
+    orders any two rows alike, also two of one check name whose parameters
+    have different names.  Within one check name each parameter is always
+    an int or always a str, so the values compare directly and integers
+    sort numerically."""
+    shapes = {}
+
+    def key(row):
+        parameters = row.parameters
+        shape = (row.check_name, *parameters)
+        entry = shapes.get(shape)
+        if entry is None:
+            order, values = _report_order(parameters)
+            flat = [row.check_name]
+            for name in order:
+                flat += (name, None)
+            entry = shapes[shape] = flat, values
+        flat, values = entry
+        flat = flat.copy()
+        flat[2::2] = values(parameters)
+        return flat
+
+    return sorted(rows, key=key)
 
 
 def _coeff_string(f) -> str:
@@ -561,6 +594,8 @@ def _config_settings(path: str | None, names) -> dict:
     `primes`.  Only check_settings judges the values."""
     config = {}
     if path is not None:
+        import json  # the one JSON input
+
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -589,8 +624,15 @@ def _rows_for(args) -> list[CheckReport]:
 
 
 def _print_table(rows: list[CheckReport]) -> None:
+    shapes = {}
     for row in rows:
-        params = " ".join(f"{k}={v}" for k, v in sorted(row.parameters.items()))
+        parameters = row.parameters
+        shape = tuple(parameters)
+        entry = shapes.get(shape)
+        if entry is None:
+            entry = shapes[shape] = _report_order(parameters)
+        order, values = entry
+        params = " ".join(map("{}={}".format, order, values(parameters)))
         line = f"{row.status:5}  {row.check_name:28} {params}"
         if row.status != PASS:
             line += f"  lhs={row.lhs} rhs={row.rhs}"
@@ -605,34 +647,67 @@ def _json_array(rows: list[CheckReport]) -> str:
     """The rows in exactly the layout of json.dumps([row._asdict() for row
     in rows], sort_keys=True, indent=2).  json.dumps takes its
     pure-Python encoder whenever indent is set; this takes the C string
-    encoder that json.dumps calls under ensure_ascii."""
-    return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]" if rows else "[]"
+    encoder that json.dumps calls under ensure_ascii.
 
-
-def _json_row(row: CheckReport) -> str:
-    # a parameter value is an int or a str
+    Each row shape (check name, status, parameter names and value types)
+    gets one %-format layout, so a row encodes only lhs, rhs, its str
+    parameter values and elapsed_ms; a notes block is encoded once per
+    notes tuple."""
+    if not rows:
+        return "[]"
     enc = encode_basestring_ascii
-    notes = params = ""
-    if row.notes:
-        notes = "\n      " + ",\n      ".join(map(enc, row.notes)) + "\n    "
-    if row.parameters:
-        params = (
-            "\n      "
-            + ",\n      ".join(
-                f"{enc(k)}: {enc(v) if isinstance(v, str) else int.__repr__(v)}"
-                for k, v in sorted(row.parameters.items())
-            )
-            + "\n    "
-        )
-    return (
-        f'  {{\n    "check_name": {enc(row.check_name)},\n'
-        f'    "elapsed_ms": {int.__repr__(row.elapsed_ms)},\n'
-        f'    "lhs": {enc(row.lhs)},\n'
-        f'    "notes": [{notes}],\n'
-        f'    "parameters": {{{params}}},\n'
-        f'    "rhs": {enc(row.rhs)},\n'
-        f'    "status": {enc(row.status)}\n  }}'
+    layouts = {}
+    blocks = {}
+    out = []
+    for name, parameters, status, lhs, rhs, notes, elapsed_ms in rows:
+        shape = (name, status, *parameters, *map(type, parameters.values()))
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _json_layout(name, parameters, status)
+        text, values, strings = layout
+        values = values(parameters)
+        if strings:
+            values = list(values)
+            for i in strings:
+                values[i] = enc(values[i])
+        block = blocks.get(notes)
+        if block is None:
+            block = blocks[notes] = _json_items(map(enc, notes))
+        out.append(text % (elapsed_ms, enc(lhs), block, *values, enc(rhs)))
+    return "[\n" + ",\n".join(out) + "\n]"
+
+
+def _json_items(items) -> str:
+    # the inside of a JSON list or object that is a field of a row
+    items = ",\n      ".join(items)
+    return "\n      " + items + "\n    " if items else ""
+
+
+def _json_layout(name: str, parameters: dict, status: str):
+    """The %-format text of one row shape, the function that reads its
+    parameter values in report order, and the positions of the str values
+    among them.  The slots are elapsed_ms, lhs, the notes block, the
+    parameter values in that order and rhs; a parameter value is an int or
+    a str."""
+    order, values = _report_order(parameters)
+    strings = tuple(i for i, k in enumerate(order) if isinstance(parameters[k], str))
+
+    def literal(text):
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    params = _json_items(
+        literal(k) + (": %s" if i in strings else ": %d") for i, k in enumerate(order)
     )
+    text = (
+        f'  {{\n    "check_name": {literal(name)},\n'
+        '    "elapsed_ms": %d,\n'
+        '    "lhs": %s,\n'
+        '    "notes": [%s],\n'
+        f'    "parameters": {{{params}}},\n'
+        '    "rhs": %s,\n'
+        f'    "status": {literal(status)}\n  }}'
+    )
+    return text, values, strings
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kverify import bockstein, chern, cli, dyerlashof, exact, series
@@ -70,11 +70,52 @@ def test_sort_reports_orders_by_name_then_parameters():
     assert ordered[2].parameters["n"] == 10  # integers sort numerically, not textually
 
 
-@pytest.mark.parametrize(
-    "argv", [["all"], ["bockstein", "--prime", "3", "--max-deg", "60"]], ids=["all", "bockstein-p3"]
-)
+_CHECK_NAMES = st.text(alphabet="ab", max_size=2)
+_PARAMETER_NAMES = st.text(alphabet="knp", min_size=1, max_size=2)
+_SHORT_TEXT = st.text(alphabet="01a", max_size=2)
+_SMALL_INT = st.integers(-3, 12)
+
+
+@st.composite
+def _rows_with_one_type_per_parameter(draw):
+    """Rows whose parameter names vary within a check name, given in any
+    insertion order, where each (check name, parameter name) holds only
+    ints or only strs; lhs numbers the rows, so any reordering shows."""
+    holds_str = draw(st.dictionaries(st.tuples(_CHECK_NAMES, _PARAMETER_NAMES), st.booleans()))
+    rows = []
+    for index in range(draw(st.integers(0, 12))):
+        name = draw(_CHECK_NAMES)
+        keys = draw(st.lists(_PARAMETER_NAMES, unique=True, max_size=4))
+        parameters = {
+            key: draw(_SHORT_TEXT if holds_str.get((name, key)) else _SMALL_INT) for key in keys
+        }
+        rows.append(CheckReport(name, parameters, PASS, str(index), "", (), 0))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rows_with_one_type_per_parameter())
+def test_sort_reports_is_the_sort_on_name_and_sorted_parameters(rows):
+    expected = sorted(rows, key=lambda r: (r.check_name, sorted(r.parameters.items())))
+    assert sort_reports(rows) == expected
+
+
+# a small input of each subcommand
+SMALL_ARGV = {
+    "bernoulli": ["bernoulli", "--n-max", "3"],
+    "theorem-a": ["theorem-a", "--prime", "3", "--n-max", "2"],
+    "eigenvalue": ["eigenvalue", "--prime", "3", "--n-max", "2"],
+    "akita": ["akita", "--prime", "3"],
+    "artin-hasse": ["artin-hasse", "--prime", "3", "--truncation", "4"],
+    "bockstein-p3": ["bockstein", "--prime", "3", "--max-deg", "60"],
+    "all": ["all"],
+}
+
+
+@pytest.mark.parametrize("argv", list(SMALL_ARGV.values()), ids=list(SMALL_ARGV))
 def test_each_parameter_has_one_type_per_check(argv):
     # sort_reports compares parameter values without a type tag
+    assert {command for command, *_ in SMALL_ARGV.values()} == set(cli.COMMANDS)
     types = {}
     for row in cli._rows_for(build_parser().parse_args(argv)):
         for name, value in row.parameters.items():
@@ -830,6 +871,41 @@ _REPORTS = st.builds(
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(_REPORTS, max_size=4))
+# format characters in check names, parameter names, status and notes
+@example(
+    [
+        CheckReport(
+            "{0}%s", {"%d": 1, "{}": "%", "%%": "{x}"}, "%(x)s}", "%", "{", ("{}", "%s", "%"), 0
+        )
+    ]
+)
+# two rows of one shape with different notes and status
+@example(
+    [
+        CheckReport("c", {"n": 1, "x": "u"}, PASS, "1", "1", ("first",), 3),
+        CheckReport("c", {"n": 2, "x": "v"}, FAIL, "1", "2", ("second",), 0),
+        CheckReport("c", {"n": 3, "x": "w"}, PASS, "3", "3", ("second", "third"), 0),
+        CheckReport("c", {"n": 4, "x": "w"}, PASS, "4", "4", (), 0),
+    ]
+)
+# parameters given in unsorted insertion order, as the bockstein rows are
+@example(
+    [
+        CheckReport(
+            "d", {"p": 31, "deg": 2, "kind": "t", "page": 2, "degree": 10}, PASS, "1", "1", (), 0
+        )
+    ]
+)
+# one check name and parameter name holding an int in one row and a str in
+# the next, no parameter and a single one
+@example(
+    [
+        CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
+        CheckReport("e", {"n": "1"}, PASS, "", "", (), 0),
+        CheckReport("e", {}, PASS, "", "", (), 0),
+        CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
+    ]
+)
 def test_json_array_is_json_dumps_with_indent(rows):
     expected = json.dumps([row._asdict() for row in rows], sort_keys=True, indent=2)
     assert cli._json_array(rows) == expected
@@ -847,6 +923,22 @@ def test_table_summary_line(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "5/5 checks passed"
     assert any(line.startswith("PASS") for line in out)
+
+
+def test_table_lists_parameters_in_report_order(capsys):
+    rows = [
+        CheckReport("c", {"p": 3, "deg": 2, "kind": "type1"}, FAIL, "1", "0", ("a note",), 0),
+        CheckReport("c", {"p": 5, "deg": 4, "kind": "type2"}, PASS, "0", "0", (), 0),
+        CheckReport("d", {}, PASS, "", "", (), 0),
+    ]
+    cli._print_table(rows)
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL   c                            deg=2 kind=type1 p=3  lhs=1 rhs=0",
+        "       note: a note",
+        "PASS   c                            deg=4 kind=type2 p=5",
+        "PASS   d                            ",
+        "2/3 checks passed",
+    ]
 
 
 def test_check_name_vocabulary(capsys):

@@ -33,22 +33,30 @@ def _fresh(script: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# The json package is imported only after the run, to print the result.
 _LOADED_BY = """
-    import contextlib, io, json, sys
+    import contextlib, io, sys
     from kverify.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main({argv!r})
-    print(json.dumps([
-        code,
-        sorted(name for name in sys.modules if name.split(".")[0] == "kverify"),
-        "dataclasses" in sys.modules,
-    ]))
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("kverify", "json"))
+    import json
+    print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
+"""
+
+_BARE = """
+    import sys
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "json")
+    import json
+    print(json.dumps(loaded))
 """
 
 _BERNOULLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.series"]
+_JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 
 
-# No command loads dataclasses (and with it inspect, ast, dis and tokenize).
+# No command loads dataclasses (and with it inspect, ast, dis and tokenize),
+# and only `all`, which reads its --config file, loads the json package.
 @pytest.mark.parametrize(
     "argv,loaded",
     [
@@ -59,7 +67,7 @@ _BERNOULLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.series"]
         ),
         (
             ["all", "--config", "-", "--json"],
-            sorted(["kverify"] + [f"kverify.{name}" for name in MODULES]),
+            sorted(_JSON + ["kverify"] + [f"kverify.{name}" for name in MODULES]),
         ),
     ],
     ids=["bernoulli", "bockstein", "all"],
@@ -69,7 +77,9 @@ def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, load
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"primes": [2, 3], "n_max": 2, "truncation": 4}))
         argv = [str(config) if arg == "-" else arg for arg in argv]
-    assert _fresh(_LOADED_BY.format(argv=argv)) == [0, loaded, False]
+    # the json modules a bare interpreter loads at start-up are no command's doing
+    bare = _fresh(_BARE)
+    assert _fresh(_LOADED_BY.format(argv=argv)) == [0, sorted(set(loaded) | set(bare)), False]
 
 
 def test_package_names_resolve_lazily_to_their_home_modules():
