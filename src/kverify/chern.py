@@ -12,8 +12,10 @@ ch and the s-numbers read one table.  Since
 second kind, u^j contributes j! S(m, j) to m! [e^m] ch, and that integer
 counts the surjections from an m-set onto a j-set.  It vanishes for j > m,
 so s_m(f) is the dot product of c_0..c_m with one cached row of integers,
-and ch through e^N is series.compose of the numerators with the same rows
-scaled by N!/m!.  ch itself serves the series identities.
+and ch through e^N takes the same dot product at each m <= N, times N!/m!
+over N!.  ch itself serves the series identities.  duality_sign computes
+s_m(L^-1 - 1) = (-1)^m through the same rows and checks it; the eigenvalue
+rows and the mod-p certificate both read their sign there.
 
 The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
 r^k(conjugate line - 1), whose coefficients kops.r_line_conjugate reads
@@ -49,9 +51,10 @@ from .polyring import RATIONAL, KClass, line_power
 
 
 def ch(f: KClass, order: int | None = None) -> KClass:
-    """Chern character: substitute u -> exp(e) - 1, by series.compose with
-    the powers of exp(e) - 1 that _exp_minus_one_powers reads off the
-    surjection rows s_eval uses.
+    """Chern character: substitute u -> exp(e) - 1, reading the surjection
+    rows s_eval reads: e^m takes the numerators' dot product with
+    _surjections(m) times order!/m!, over den * order!.  The dot products
+    stop at the last nonzero numerator, so a polynomial costs its degree.
 
     Only orders up to the K-theory truncation are geometrically determined,
     so asking beyond it is an error rather than a silent extrapolation.
@@ -63,8 +66,10 @@ def ch(f: KClass, order: int | None = None) -> KClass:
             f"order {order} exceeds truncation {f.truncation}; the discarded "
             f"u-powers would contribute"
         )
-    out = series.compose(f.nums, _exp_minus_one_powers(order))
-    return KClass(out, order, RATIONAL, den=f.den * factorial(order))
+    nums = f.nums[: 1 + max((j for j, c in enumerate(f.nums) if c), default=0)]
+    top = factorial(order)
+    out = [sum(map(mul, nums, _surjections(m))) * (top // factorial(m)) for m in range(order + 1)]
+    return KClass(out, order, RATIONAL, den=f.den * top)
 
 
 def psi_H(k: int, c: KClass) -> KClass:
@@ -93,20 +98,6 @@ def _surjections(m: int) -> tuple[int, ...]:
     return rows[m]
 
 
-@lru_cache(maxsize=None)
-def _exp_minus_one_powers(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row j: order! (exp(e) - 1)^j through e^order, from e^j on.
-
-    Its e^m entry is j! S(m, j) order!/m!, the surjection count read off
-    _surjections(m) and cleared of the 1/m!.
-    """
-    scale = [factorial(order) // factorial(m) for m in range(order + 1)]
-    return tuple(
-        tuple(_surjections(m)[j] * scale[m] for m in range(j, order + 1))
-        for j in range(order + 1)
-    )
-
-
 def s_eval(m: int, f: KClass) -> Fraction:
     """The m-th additive characteristic number m! [e^m] ch(f).
 
@@ -124,6 +115,22 @@ def s_eval(m: int, f: KClass) -> Fraction:
             f"u-powers would contribute"
         )
     return Fraction(sum(map(mul, f.nums, _surjections(m))), f.den)
+
+
+def duality_sign(m: int) -> int:
+    """s_m(L^-1 - 1), the weight-m number of the reduced conjugate line.
+
+    ch(L^-1 - 1) = exp(-e) - 1, so it must be (-1)^m; it is computed at
+    window m (s_m reads only c_0..c_m) and anything else raises
+    ArithmeticError.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    expected = (-1) ** m
+    sign = s_eval(m, line_power(-1, m) - 1)
+    if sign != expected:
+        raise ArithmeticError(f"normalizing s-number came out {sign}, expected {expected}")
+    return expected
 
 
 def bh(order: int) -> KClass:
@@ -199,9 +206,9 @@ def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
     computed through the series route only.
 
     Ratio of s(2n-1) of the reduced average class to s(2n-1) of the reduced
-    conjugate line.  The denominator must come out as (-1)^(2n-1); that is
-    a sanity check on the normalization, not on the theorem.  Comparison
-    with the closed form is the caller's job.
+    conjugate line, duality_sign(2n - 1), which must come out as
+    (-1)^(2n-1); that is a sanity check on the normalization, not on the
+    theorem.  Comparison with the closed form is the caller's job.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -216,10 +223,4 @@ def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
 @lru_cache(maxsize=None)
 def _eigenvalue(k: int, m: int, truncation: int) -> Fraction:
     """rk_eigenvalue on s_m at exactly this truncation, computed once."""
-    numerator = s_eval(m, _conjugate_average(k, truncation))
-    denominator = s_eval(m, line_power(-1, truncation) - 1)
-    if denominator != (-1) ** m:
-        raise ArithmeticError(
-            f"normalizing s-number came out {denominator}, expected {(-1) ** m}"
-        )
-    return numerator / denominator
+    return s_eval(m, _conjugate_average(k, truncation)) / duality_sign(m)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from . import chern, exact, polyring
+from . import chern, exact
 
 
 class _LeadingFields(NamedTuple):
@@ -60,19 +60,17 @@ def pair_primitive_s(m: int, c: LeadingHomologyClass) -> int:
     """<s_m, c> mod p: zero unless the generator index is m, and then the
     coefficient times the duality sign.
 
-    The sign is not an assumption: s_m of the reduced conjugate line is
-    computed through the character route, and its weight-m number (-1)^m is
-    what the generator convention pairs against.  Decomposables die on the
-    primitive class, so the leading term decides the value.
+    The sign is not an assumption: chern.duality_sign computes s_m of the
+    reduced conjugate line through the character route and checks that it
+    is the weight-m number (-1)^m the generator convention pairs against,
+    raising ArithmeticError otherwise.  Decomposables die on the primitive
+    class, so the leading term decides the value.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if c.generator_index != m:
         return 0
-    duality = chern.s_eval(m, polyring.line_power(-1, m) - 1)
-    if duality.denominator != 1:
-        raise ArithmeticError("duality sign must be an integer")
-    return (c.coefficient * duality.numerator) % c.prime
+    return (c.coefficient * chern.duality_sign(m)) % c.prime
 
 
 class Certificate(NamedTuple):

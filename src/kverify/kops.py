@@ -140,9 +140,7 @@ def _check_theta_input(p: int, t: int, claim) -> None:
         raise ValueError(f"p = {p} is not prime")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if claim.kind not in ("integral", "p-local") or (
-        claim.kind == "p-local" and claim.param != p
-    ):
+    if claim not in (INTEGRAL, p_local(p)):
         raise ValueError(
             f"theta at p = {p} needs an integral or {p}-local input, "
             f"got claim {claim.label()}"

@@ -6,11 +6,11 @@ for the Bernoulli expansion, the truncated polynomial ring, the Adams
 operations and the Chern character.
 
 mul is the one convolution kernel: integers in, integers out, as KClass
-products call it on their numerators.  compose is the one substitution
+products call it on their numerators.  compose is the substitution
 kernel, integers in and integers out the same way: given the powers of a
-series g, each caller's own and cached there, it sums f_j g^j for the
-integer numerators f_j, so psi substitutes (1+u)^k - 1 and ch substitutes
-exp(e) - 1 through the same loop.  log1 is integer in and out as well: it
+series g, cached by the caller, it sums f_j g^j for the integer numerators
+f_j; psi substitutes (1+u)^k - 1 through it (ch reads its own surjection
+rows and needs no substitution).  log1 is integer in and out as well: it
 takes numerators over one denominator, as a KClass holds them, and runs the
 recurrence of (log a)' a = a' over them, keeping the logarithm's
 coefficients as numerators over one running denominator, which it returns.

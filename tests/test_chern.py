@@ -143,9 +143,32 @@ def test_s_eval_window_edges():
         s_eval(1, KClass([3], 0, INTEGRAL))
 
 
-def test_conjugate_line_duality_sign():
-    for m in range(1, 8):
-        assert s_eval(m, line_power(-1, m + 1) - 1) == (-1) ** m
+def surjections_with_extra_one():
+    """A fault in the table: chern._surjections with +1 at j = 1 in every
+    row m >= 1."""
+    row_of = chern._surjections
+
+    def broken(m):
+        row = row_of(m)
+        return row[:1] + (row[1] + 1,) + row[2:] if m else row
+
+    return broken
+
+
+def test_conjugate_line_duality_sign(monkeypatch):
+    # the sign is read at window m; s_m reads only c_0..c_m, so any wider
+    # window gives the same number, up to weight 2p - 1 at the prime ceiling
+    for m in [*range(1, 61), 2 * 199 - 1]:
+        sign = chern.duality_sign(m)
+        assert type(sign) is int and sign == (-1) ** m
+        for window in (m + 1, m + 5):
+            assert s_eval(m, line_power(-1, window) - 1) == sign, (m, window)
+    with pytest.raises(ValueError):
+        chern.duality_sign(0)
+    monkeypatch.setattr(chern, "_surjections", surjections_with_extra_one())
+    for m in (1, 2, 9, 397):
+        with pytest.raises(ArithmeticError, match="normalizing s-number"):
+            chern.duality_sign(m)
 
 
 # -- multiplicative series identities ---------------------------------------

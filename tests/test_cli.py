@@ -31,6 +31,7 @@ from kverify.cli import (
     sort_reports,
 )
 from kverify.polyring import KClass
+from test_chern import surjections_with_extra_one
 
 ROW_KEYS = {"check_name", "elapsed_ms", "lhs", "notes", "parameters", "rhs", "status"}
 
@@ -396,6 +397,18 @@ def test_broken_certificate_fails_the_akita_row(monkeypatch, capsys, home, name,
     assert main(["akita", "--prime", "5", "--json"]) == 1
     rows = json.loads(capsys.readouterr().out)
     assert [(row["status"], row["lhs"]) for row in rows] == [(FAIL, "certificate incomplete")]
+
+
+def test_broken_surjection_rows_make_the_akita_row_an_error(monkeypatch, capsys):
+    # the certificate reads the duality sign that the eigenvalue rows divide
+    # by, so a fault in the surjection rows cannot leave it PASS
+    monkeypatch.setattr(chern, "_surjections", surjections_with_extra_one())
+    assert main(["akita", "--prime", "5", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (row,) = json.loads(captured.out)
+    assert (row["check_name"], row["status"]) == ("akita-counterexample", ERROR)
+    assert row["notes"][-1] == "ArithmeticError: normalizing s-number came out -2, expected -1"
 
 
 def test_akita_note_says_when_the_numerator_is_not_a_unit(monkeypatch, capsys):
