@@ -61,8 +61,8 @@ DEFAULTS = {
 # is_prime is trial division and the akita certificate needs B_p, a series
 # of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a row of
 # binomial coefficients C(k, j), whose entries grow with k, at each window
-# (`eigenvalue --prime 5 --k 999 --n-max 200` 10-14 s, `theorem-a` at the
-# same inputs 6-9 s), `bernoulli`, `theorem-a` and `eigenvalue` at
+# (`eigenvalue --prime 5 --k 999 --n-max 200` 11-13 s, `theorem-a` at the
+# same inputs 5.5-6.5 s), `bernoulli`, `theorem-a` and `eigenvalue` at
 # `--n-max 200` take 0.3-0.45, 0.6-1.0 and 0.9-1.25 s (`theorem-a --prime
 # 199` 0.6-0.8 s; the host's speed varies by about 1.6x), `artin-hasse
 # --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein

@@ -8,7 +8,10 @@ from them.  The logarithm telescopes to (1 - psi^p/p) log(1-x); tests pin
 that closed form, the code here only ever evaluates the defining sums.
 Each power is taken once: theta^(p^t) raises g = f^(p^(t-1)) to the p-th
 power rather than f to the p^t-th, and the logarithm carries g from one t
-to the next instead of calling theta afresh.
+to the next instead of calling theta afresh.  The double-loop form is the
+same sum for a class times the reduced generator w of a double suspension;
+there w^2 = 0 and psi^k scales w by k, so two terms survive, and
+l_double_loop computes those two on the base class directly.
 
 Everything is exact.  Division by p^t is checked coefficient by coefficient
 and raises IntegralityViolation, carrying the offending coefficient, rather
@@ -25,15 +28,7 @@ from math import comb
 
 from . import series
 from .exact import is_prime, vp
-from .polyring import (
-    INTEGRAL,
-    KClass,
-    SuspensionClass,
-    k_inverted,
-    line_power,
-    p_local,
-    suspend,
-)
+from .polyring import INTEGRAL, KClass, k_inverted, line_power, p_local
 
 
 class IntegralityViolation(ArithmeticError):
@@ -78,11 +73,6 @@ def psi(k: int, f: KClass) -> KClass:
     return KClass(out, f.truncation, f.claim, den=f.den)
 
 
-def psi_on_suspension(k: int, s: SuspensionClass) -> SuspensionClass:
-    # the suspension coordinate itself is scaled by k
-    return SuspensionClass(psi(k, s.base) * k)
-
-
 def rho_line(k: int, a: int, truncation: int) -> KClass:
     """(1/k) * (1 + L^a + L^(2a) + ... + L^((k-1)a)), with k inverted."""
     if k < 1:
@@ -105,11 +95,13 @@ def r_line_conjugate(k: int, truncation: int) -> KClass:
     denominator row starts at 1/k, so 1 - k/denominator has no constant
     term and r_j = -k [u^(j+1)] denominator^(-1).  The class at truncation
     N is therefore coefficients 1..N+1 of one inversion stream, scaled by -k;
-    they need the row's terms only through u^(N+1).
+    they need the row's terms only through u^(N+1), and C(k, j+1) vanishes
+    from j = k on, so the row stops there.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    inverse = islice(series.inv([comb(k, j + 1) for j in range(truncation + 2)]), 1, truncation + 2)
+    row = [comb(k, j + 1) for j in range(min(k, truncation + 2))]
+    inverse = islice(series.inv(row), 1, truncation + 2)
     return KClass(list(inverse), truncation, k_inverted(k)) * -k
 
 
@@ -163,15 +155,6 @@ def theta(p: int, t: int, f: KClass) -> KClass:
     return _divide_p_power(g**p - psi(p, g), p, t)
 
 
-def theta_on_suspension(p: int, t: int, s: SuspensionClass) -> SuspensionClass:
-    """theta on square-zero classes; all powers above the first vanish."""
-    _check_theta_input(p, t, s.base.claim)
-    if t == 0:
-        return s
-    numerator = s ** (p**t) - psi_on_suspension(p, s ** (p ** (t - 1)))
-    return SuspensionClass(_divide_p_power(numerator.base, p, t))
-
-
 def log_one_minus(x: KClass) -> KClass:
     """log(1 - x) = -sum x^m / m, truncated, by the series logarithm on the
     numerators of 1 - x over its denominator.
@@ -219,21 +202,22 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
     return total.with_claim(p_local(p))
 
 
-def artin_hasse_log_on_suspension(p: int, s: SuspensionClass) -> SuspensionClass:
-    """Same sum on a square-zero class; only the n = 1 layer survives, and
-    from t = 2 on both powers in the theta numerator are products of
-    square-zero classes, so the t sum stops at 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    inner = theta_on_suspension(p, 0, s) + theta_on_suspension(p, 1, s)
-    return -inner
-
-
 def l_double_loop(p: int, f: KClass) -> KClass:
-    """The double-loop form of the logarithm: suspend, take the p-local log
-    of the corresponding unit, read off the base.
+    """The double-loop form of the logarithm: the p-local log of 1 - x for
+    x = -f w, read off as the coefficient of w.
+
+    w is the reduced generator of a double suspension, and two laws hold
+    there: w^2 = 0, and psi^k(g w) = k psi^k(g) w (psi^k scales the Bott
+    class by k).  So every power x^n with n >= 2 vanishes and only the n = 1
+    layer of the sum survives; in theta^(p^t)(x) = (g^p - psi^p(g)) / p^t
+    with g = x^(p^(t-1)), g vanishes from t = 2 on.  With s = -f the two
+    surviving terms are s itself (t = 0) and, at t = 1, (s^p - psi^p(s)) / p
+    on the w-coordinates: s^p w^p = 0 and psi^p(s w) = p psi^p(s) w, so the
+    numerator is -p psi^p(s), divided by p with the check theta makes.
 
     The telescoping of the theta sum makes this f - psi^p(f); the tests
     freeze that identity rather than this function assuming it.
     """
-    return artin_hasse_log_on_suspension(p, -suspend(f)).base
+    _check_theta_input(p, 1, f.claim)
+    s = -f
+    return -(s + _divide_p_power(-(psi(p, s) * p), p, 1))

@@ -23,12 +23,6 @@ f**0 is the unit; the model takes no inverse, so a negative n is refused.
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
 chern hands back rational KClass values whose coefficients are read in e.
-
-Suspension classes model the reduced K-theory of a double suspension, where
-the product of any two reduced classes vanishes.  That square-zero law lives
-in SuspensionClass.__pow__, the only product the logarithm takes of them;
-the operations that act on them (Adams operations, theta operations) live
-in kops.
 """
 
 from __future__ import annotations
@@ -327,54 +321,3 @@ def line_power(a: int, truncation: int, claim: Claim = INTEGRAL) -> KClass:
     else:
         coeffs = [(-1) ** i * comb(-a + i - 1, i) for i in range(truncation + 1)]
     return KClass(coeffs, truncation, claim, den=1)
-
-
-class SuspensionClass:
-    """base * w for the reduced generator w of a double suspension.
-
-    Products of two reduced classes vanish (square-zero), so every power
-    above the first is zero; sums and negation act through the base.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: KClass):
-        self.base = base
-
-    @classmethod
-    def zero(cls, truncation: int, claim: Claim = INTEGRAL) -> "SuspensionClass":
-        return cls(KClass.zero(truncation, claim))
-
-    @property
-    def truncation(self) -> int:
-        return self.base.truncation
-
-    def __add__(self, other):
-        if isinstance(other, SuspensionClass):
-            return SuspensionClass(self.base + other.base)
-        return NotImplemented
-
-    def __neg__(self):
-        return SuspensionClass(-self.base)
-
-    def __sub__(self, other):
-        if isinstance(other, SuspensionClass):
-            return self + (-other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 1:
-            raise ValueError("suspension classes have no degree-zero power")
-        if n == 1:
-            return self
-        return SuspensionClass.zero(self.truncation, self.base.claim)
-
-    def __repr__(self):
-        return f"SuspensionClass({self.base!r})"
-
-
-def suspend(f: KClass) -> SuspensionClass:
-    """The double-suspension image of f (an isomorphism onto reduced classes)."""
-    return SuspensionClass(f)

@@ -20,16 +20,16 @@ coefficient m depends only on input terms 0..m, so one expansion grown on
 demand serves every order and a caller takes the prefix it needs with
 itertools.islice.  It keeps the input terms it has read and the
 coefficients it has found as integer numerators over one running
-denominator each, and it skips zero input terms, so a polynomial costs its
-nonzero terms per coefficient.  A running denominator grows in one place,
-_append, which inv calls for its input terms and coefficients and log1 for
-its coefficients.
+denominator each.  The input list stops growing where a finite input
+ends, so a polynomial costs its terms per coefficient.  A running
+denominator grows in one place, _append, which inv calls for its input
+terms and coefficients and log1 for its coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, islice, repeat
+from itertools import count, islice, repeat
 from math import gcd
 from operator import add, mul as _times
 from typing import Iterable, Iterator, Sequence
@@ -71,20 +71,18 @@ def inv(a: Iterable[Fraction | int]) -> Iterator[Fraction]:
     if c == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
     # out[m] = -(1/a0) sum_{j>=1} a[j] out[m-j] = -(sum na[j] nout[m-j]) / (na[0] e)
-    # for a[j] = na[j] / da and out[i] = nout[i] / e.  na holds a0 and then
-    # the nonzero na[j], j >= 1, in order, and nonzero[j - 1] whether a[j] is
-    # one of them, so compress pairs each with nout[m-j] from reversed(nout).
-    na, da, nonzero = [c.numerator], c.denominator, []
+    # for a[j] = na[j] / da and out[i] = nout[i] / e.  na holds the terms
+    # read, so it stops growing where a finite input ends, and the sum runs
+    # over those terms, each against nout[m-j] from reversed(nout).
+    na, da = [c.numerator], c.denominator
     q = Fraction(da, na[0])
     yield q
     nout, e = [q.numerator], q.denominator
-    for m in count(1):
-        c = next(terms, 0)
-        if c:
+    while True:
+        c = next(terms, None)
+        if c is not None:
             da = _append(na, da, c)
-            nonzero.extend(repeat(False, m - 1 - len(nonzero)))
-            nonzero.append(True)
-        s = sum(map(_times, islice(na, 1, None), compress(reversed(nout), nonzero)))
+        s = sum(map(_times, islice(na, 1, None), reversed(nout)))
         q = Fraction(-s, na[0] * e)
         yield q
         e = _append(nout, e, q)

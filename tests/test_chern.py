@@ -252,15 +252,18 @@ def test_repeated_eigenvalue_is_a_lookup(monkeypatch):
     # one computation per (k, 2n - 1, exact truncation): asked again, the
     # eigenvalue costs no inversion and no s-number; a wider window is its
     # own inversion.  The class at window T reads the inverse of the
-    # binomial row through u^(T+1), so the row it inverts has T + 2 terms.
+    # binomial row through u^(T+1), so it reads T + 2 coefficients.
     chern._conjugate_average.cache_clear()
     chern._eigenvalue.cache_clear()
     calls = []
     inv, evaluate = series.inv, chern.s_eval
 
     def counting_inv(a):
-        calls.append(("inv", len(a) - 1))
-        return inv(a)
+        i = len(calls)
+        calls.append(("inv", 0))
+        for read, c in enumerate(inv(a), 1):
+            calls[i] = ("inv", read)
+            yield c
 
     def counting_s_eval(m, f):
         calls.append(("s_eval", m))
@@ -270,12 +273,12 @@ def test_repeated_eigenvalue_is_a_lookup(monkeypatch):
     monkeypatch.setattr(chern, "s_eval", counting_s_eval)
     n = 3
     first = rk_eigenvalue(5, n)
-    assert calls == [("inv", 2 * n + 3), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
+    assert calls == [("inv", 2 * n + 4), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
     calls.clear()
     assert rk_eigenvalue(5, n) == first == eigenvalue_closed_form(5, n)
     assert calls == []
     assert rk_eigenvalue(5, n, truncation=2 * n + 5) == first
-    assert calls == [("inv", 2 * n + 6), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
+    assert calls == [("inv", 2 * n + 7), ("s_eval", 2 * n - 1), ("s_eval", 2 * n - 1)]
 
 
 def test_eigenvalue_input_validation():

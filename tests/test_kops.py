@@ -16,16 +16,13 @@ from kverify import kops, series
 from kverify.kops import (
     IntegralityViolation,
     artin_hasse_log,
-    artin_hasse_log_on_suspension,
     l_double_loop,
     log_one_minus,
     psi,
-    psi_on_suspension,
     r_line_conjugate,
     r_virtual_conjugate_minus_one,
     rho_line,
     theta,
-    theta_on_suspension,
 )
 from kverify.polyring import (
     INTEGRAL,
@@ -34,7 +31,6 @@ from kverify.polyring import (
     k_inverted,
     line_power,
     p_local,
-    suspend,
 )
 from test_series import ref_compose
 
@@ -118,11 +114,6 @@ def test_psi_matches_horner_substitution(k, truncation):
         assert result.coeffs == horner
         assert result.truncation == truncation
         assert result.claim == f.claim
-
-
-def test_psi_on_suspension_scales_by_k():
-    f = KClass([1, 1], 4, INTEGRAL)
-    assert psi_on_suspension(3, suspend(f)).base == 3 * psi(3, f)
 
 
 
@@ -278,18 +269,6 @@ def test_integrality_violation_contract():
     assert isinstance(err, ArithmeticError)
 
 
-def test_theta_on_suspension_matches_square_zero_expansion():
-    # on w * f the numerator loses its power term, leaving -psi^p(base) * p^(t-1)
-    # after the suspension coordinate scaling; checked against the generic code
-    f = KClass([1, 1], 6, INTEGRAL)
-    s = suspend(f)
-    for p in (2, 3):
-        got = theta_on_suspension(p, 1, s)
-        assert got.base == -psi(p, f)
-        assert theta_on_suspension(p, 0, s).base == f
-        assert theta_on_suspension(p, 2, s).base.is_zero()
-
-
 # -- logarithms -------------------------------------------------------------
 
 
@@ -390,16 +369,8 @@ def test_artin_hasse_log_input_validation():
         artin_hasse_log(6, KClass([0, 1], 3))
     with pytest.raises(ValueError):
         artin_hasse_log(3, line_power(0, 3))
-    with pytest.raises(ValueError):
-        artin_hasse_log_on_suspension(9, suspend(KClass([1], 3)))
-
-
-def test_suspension_log_is_first_two_theta_layers():
-    f = KClass([2, 1, 1], 5, INTEGRAL)
-    s = suspend(f)
-    for p in (2, 3, 5):
-        expected = -(theta_on_suspension(p, 0, s) + theta_on_suspension(p, 1, s))
-        assert artin_hasse_log_on_suspension(p, s).base == expected.base
+    with pytest.raises(ValueError, match="p = 9 is not prime"):
+        l_double_loop(9, KClass([1], 3))
 
 
 def test_double_loop_log_telescopes():

@@ -15,12 +15,10 @@ from kverify.polyring import (
     Claim,
     DomainClaimError,
     KClass,
-    SuspensionClass,
     TruncationMismatch,
     k_inverted,
     line_power,
     p_local,
-    suspend,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -363,26 +361,3 @@ def test_line_power_inverse_route():
     # the binomial formula for negative exponents gives the inverse line power
     for a in (1, 2, 3):
         assert line_power(-a, 5) * line_power(a, 5) == 1
-
-
-# -- suspension classes -----------------------------------------------------
-
-
-def test_suspension_square_zero():
-    s = suspend(KClass([0, 1], 3))
-    assert (s**2).base.is_zero()
-    assert (s**3).base.is_zero()
-    assert (s**1).base == s.base
-    with pytest.raises(ValueError):
-        s**0
-
-
-def test_suspension_module_structure():
-    s = suspend(KClass([0, 1], 3))
-    assert ((s + s) - s).base == s.base
-    assert ((-s) + s).base == SuspensionClass.zero(3).base
-
-
-def test_suspension_truncation_mismatch():
-    with pytest.raises(TruncationMismatch):
-        suspend(KClass([1], 2)) + suspend(KClass([1], 3))

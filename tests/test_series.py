@@ -204,7 +204,8 @@ def test_inverse_reads_term_m_only_for_coefficient_m(m):
     ],
 )
 def test_inverse_with_zero_terms_inside_and_at_the_end(a):
-    # zero terms are skipped; a finite series reads as zero-padded
+    # zero terms inside are read like any other; a finite series reads as
+    # zero-padded once it ends, as if its trailing zeros were given
     for order in (len(a) - 1, len(a) + 9):
         assert _exact(inv_to(a, order), ref_inv(a, order))
         assert inv_to(a, order) == inv_to(list(a) + [0] * 10, order)
