@@ -21,7 +21,7 @@ _HOMES = {
     name: module
     for module, names in (
         ("exact", ("bernoulli", "choose_k", "num_denom", "vp")),
-        ("polyring", ("INTEGRAL", "RATIONAL", "KClass", "k_inverted", "line_power", "p_local")),
+        ("polyring", ("KClass", "line_power")),
         ("kops", ("artin_hasse_log", "l_double_loop", "psi", "theta")),
         ("chern", ("ch", "eigenvalue_closed_form", "rk_eigenvalue", "s_eval")),
         ("dyerlashof", ("akita_counterexample", "q_on_bu")),

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from . import series
 from .exact import bernoulli
 from .kops import r_virtual_conjugate_minus_one, rho_line
-from .polyring import RATIONAL, KClass, line_power
+from .polyring import KClass, line_power
 
 
 def ch(f: KClass, order: int | None = None) -> KClass:
@@ -69,14 +69,12 @@ def ch(f: KClass, order: int | None = None) -> KClass:
     nums = f.nums[: 1 + max((j for j, c in enumerate(f.nums) if c), default=0)]
     top = factorial(order)
     out = [sum(map(mul, nums, _surjections(m))) * (top // factorial(m)) for m in range(order + 1)]
-    return KClass(out, order, RATIONAL, den=f.den * top)
+    return KClass(out, order, den=f.den * top)
 
 
 def psi_H(k: int, c: KClass) -> KClass:
     """Adams operation on cohomology: e^n is scaled by k^n."""
-    return KClass(
-        [x * k**n for n, x in enumerate(c.nums)], c.truncation, c.claim, den=c.den
-    )
+    return KClass([x * k**n for n, x in enumerate(c.nums)], c.truncation, den=c.den)
 
 
 _SURJECTION_ROWS = [(1,)]
@@ -137,7 +135,7 @@ def bh(order: int) -> KClass:
     """The multiplicative series (exp(x) - 1)/x through x^order: its
     coefficients 1/(m+1)! as the numerators (order+1)!/(m+1)! over (order+1)!."""
     top = factorial(order + 1)
-    return KClass([top // factorial(m + 1) for m in range(order + 1)], order, RATIONAL, den=top)
+    return KClass([top // factorial(m + 1) for m in range(order + 1)], order, den=top)
 
 
 class SeriesCheck(NamedTuple):

@@ -391,17 +391,19 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
         psi,
         theta,
     )
-    from .polyring import line_power
+    from .polyring import Claim, line_power
 
     def theta_integrality(t, x):
         try:
-            theta(p, t, x)
+            result = theta(p, t, x)
         except IntegralityViolation as err:
             return (
                 f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}",
                 "p-integral",
                 (),
             )
+        if not Claim(p).admits(result.den):
+            return f"denominator {result.den}", "p-integral", ()
         return "p-integral", "p-integral", ()
 
     def log_closed_form(x):

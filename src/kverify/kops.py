@@ -28,7 +28,7 @@ from math import comb
 
 from . import series
 from .exact import is_prime, vp
-from .polyring import INTEGRAL, KClass, k_inverted, line_power, p_local
+from .polyring import Claim, KClass, line_power
 
 
 class IntegralityViolation(ArithmeticError):
@@ -64,13 +64,13 @@ def psi(k: int, f: KClass) -> KClass:
     integer matrix, cached per (k, N), whose row j is ((1+u)^k - 1)^j;
     series.compose sums the class's numerators against its rows, and the
     result sits over the class's denominator.  Coefficients of the result
-    are integer combinations of the input coefficients, so the claim is
-    preserved and validated once, on the result.
+    are integer combinations of the input coefficients, so the result is
+    integral or p-local wherever the input is.
     """
     if k == 0:
         raise ValueError("psi^0 is not an operation on these classes")
     out = series.compose(f.nums, _substitution_matrix(k, f.truncation))
-    return KClass(out, f.truncation, f.claim, den=f.den)
+    return KClass(out, f.truncation, den=f.den)
 
 
 def rho_line(k: int, a: int, truncation: int) -> KClass:
@@ -78,7 +78,7 @@ def rho_line(k: int, a: int, truncation: int) -> KClass:
     if k < 1:
         raise ValueError("k must be positive")
     total = sum((line_power(a * j, truncation) for j in range(k)), KClass.zero(truncation))
-    return KClass(total.nums, truncation, k_inverted(k), den=k)
+    return KClass(total.nums, truncation, den=k)
 
 
 def r_line_conjugate(k: int, truncation: int) -> KClass:
@@ -102,7 +102,7 @@ def r_line_conjugate(k: int, truncation: int) -> KClass:
         raise ValueError("k must be at least 2")
     row = [comb(k, j + 1) for j in range(min(k, truncation + 2))]
     inverse = islice(series.inv(row), 1, truncation + 2)
-    return KClass(list(inverse), truncation, k_inverted(k)) * -k
+    return KClass(list(inverse), truncation) * -k
 
 
 def r_virtual_conjugate_minus_one(k: int, truncation: int) -> KClass:
@@ -124,19 +124,16 @@ def _divide_p_power(f: KClass, p: int, t: int) -> KClass:
     for i, x in enumerate(f.nums):
         if x % step:
             raise IntegralityViolation(p, t, i, Fraction(x, f.den))
-    return KClass(f.nums, f.truncation, p_local(p), den=f.den * p**t)
+    return KClass(f.nums, f.truncation, den=f.den * p**t)
 
 
-def _check_theta_input(p: int, t: int, claim) -> None:
+def _check_theta_input(p: int, t: int, f: KClass) -> None:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if claim not in (INTEGRAL, p_local(p)):
-        raise ValueError(
-            f"theta at p = {p} needs an integral or {p}-local input, "
-            f"got claim {claim.label()}"
-        )
+    if not Claim(p).admits(f.den):
+        raise ValueError(f"theta at p = {p} needs a {p}-local input, got denominator {f.den}")
 
 
 def theta(p: int, t: int, f: KClass) -> KClass:
@@ -146,7 +143,7 @@ def theta(p: int, t: int, f: KClass) -> KClass:
     reduced input it always succeeds, and that success is exactly the
     integrality lemma the tests exercise.
     """
-    _check_theta_input(p, t, f.claim)
+    _check_theta_input(p, t, f)
     if f.augmentation != 0:
         raise ValueError("theta is defined on classes with augmentation zero")
     if t == 0:
@@ -174,22 +171,21 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
     x must be reduced (augmentation zero) so the powers climb the u-adic
     filtration and the sum is finite at each truncation.  Each theta term is
     theta's own expression, (g^p - psi^p(g)) / p^t for g = (x^n)^(p^(t-1)),
-    with g carried from one t to the next, so every power is taken once;
-    theta's input check runs once per n.  The result is p-locally integral,
-    which the final claim re-validates.
+    with g carried from one t to the next, so every power is taken once.
+    theta's input check runs once, on x: its powers are p-local with it.
+    The result is p-locally integral, and an ArithmeticError is raised if
+    its denominator says otherwise.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _check_theta_input(p, 0, x)
     if x.augmentation != 0:
         raise ValueError("argument must have augmentation zero")
     truncation = x.truncation
-    total = KClass.zero(truncation, INTEGRAL)
+    total = KClass.zero(truncation)
     xn = x
     for n in range(1, truncation + 1):
         if xn.is_zero():
             break
         if n % p != 0:
-            _check_theta_input(p, 0, xn.claim)
             inner = g = xn  # the t = 0 term is x^n itself
             t = 1
             while n * p ** (t - 1) <= truncation:
@@ -199,7 +195,9 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
                 t += 1
             total = total + inner * Fraction(-1, n)
         xn = xn * x
-    return total.with_claim(p_local(p))
+    if not Claim(p).admits(total.den):
+        raise ArithmeticError(f"the logarithm at p = {p} has denominator {total.den}")
+    return total
 
 
 def l_double_loop(p: int, f: KClass) -> KClass:
@@ -218,6 +216,6 @@ def l_double_loop(p: int, f: KClass) -> KClass:
     The telescoping of the theta sum makes this f - psi^p(f); the tests
     freeze that identity rather than this function assuming it.
     """
-    _check_theta_input(p, 1, f.claim)
+    _check_theta_input(p, 1, f)
     s = -f
     return -(s + _divide_p_power(-(psi(p, s) * p), p, 1))

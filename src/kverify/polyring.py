@@ -4,21 +4,17 @@ K(CP^N) is Z[u]/(u^(N+1)) for u = L - 1, with L the tautological line class.
 A KClass stores its coefficients (c_0, ..., c_N) in the u basis as integer
 numerators over one positive denominator, in lowest terms, so ring
 operations are integer operations and a Fraction is built only when a
-coefficient is read.  Each class carries a domain claim: a validated
-statement about where the coefficients live (integers, p-local integers,
-integers with k inverted, or plain rationals), bookkeeping, never a change
-of representation.  The claim is checked on every construction, by one test
-of the integer denominator, with no Fraction built: in lowest terms it is
-the lcm of the coefficients' denominators, and each claim is a condition on
-the primes of a denominator that holds for all of them exactly when it
-holds for their lcm (integral: the lcm is 1; p-local: p does not divide it;
-k-inverted: each of its primes divides k).  Only a failed test walks the
-coefficients, to name the first offender.  A power f**n costs
-bit_length(n) - 1 squarings and popcount(n) - 1 further products, and no
-product with one, unless it has vanished: a class of u-adic valuation
-v >= 1 (its first nonzero coefficient is at u^v) has f**n = 0 once
-v n > N, and that power is the zero class under f's claim, with no product.
-f**0 is the unit; the model takes no inverse, so a negative n is refused.
+coefficient is read.  Where the coefficients live is read off that one
+denominator: in lowest terms it is the lcm of the coefficients'
+denominators, so the class is integral when it is 1 and p-local when p does
+not divide it.  Claim(p) is that p-locality test; the operations that need
+a p-local input (theta and the logarithms in kops) apply it to the values
+they are given.  A power f**n costs bit_length(n) - 1 squarings and
+popcount(n) - 1 further products, and no product with one, unless it has
+vanished: a class of u-adic valuation v >= 1 (its first nonzero coefficient
+is at u^v) has f**n = 0 once v n > N, and that power is the zero class, with
+no product.  f**0 is the unit; the model takes no inverse, so a negative n
+is refused.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -32,118 +28,37 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import series
-from .exact import frac_str, is_prime
+from .exact import frac_str
 
 
 class TruncationMismatch(ValueError):
     """Arithmetic between classes at different truncations."""
 
 
-class DomainClaimError(ValueError):
-    """A coefficient violates the claim."""
+class Claim(NamedTuple):
+    """p-locality at the prime p: coefficients whose denominators are prime to p."""
 
-
-def _only_primes_of(n: int, k: int) -> bool:
-    # every prime of n divides k exactly when n divides k^e for k^e >= n
-    n = abs(n)
-    return n <= 1 or pow(k, n.bit_length(), n) == 0
-
-
-class _ClaimFields(NamedTuple):
-    kind: str
-    param: int | None = None
-
-
-class Claim(_ClaimFields):
-    """Domain claim for coefficients: integral, p-local, k-inverted, rational.
-
-    p-local(p) means denominators prime to p; k-inverted(k) means
-    denominators divisible only by primes of k.  ``join`` returns the
-    smallest of the four coefficient rings containing both operands, which
-    is the claim propagated through ring operations.  Claims compare and
-    hash as (kind, param) tuples.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, param: int | None = None):
-        if kind in ("integral", "rational"):
-            if param is not None:
-                raise ValueError(f"claim {kind} takes no parameter")
-        elif kind == "p-local":
-            if param is None or not is_prime(param):
-                raise ValueError("p-local claim needs a prime parameter")
-        elif kind == "k-inverted":
-            if param is None or param < 2:
-                raise ValueError("k-inverted claim needs k >= 2")
-        else:
-            raise ValueError(f"unknown claim kind {kind!r}")
-        return super().__new__(cls, kind, param)
+    p: int
 
     def admits(self, den: int) -> bool:
-        """Whether a denominator den >= 1 in lowest terms meets the claim."""
-        if self.kind == "integral":
-            return den == 1
-        if self.kind == "p-local":
-            return den % self.param != 0
-        if self.kind == "k-inverted":
-            return _only_primes_of(den, self.param)
-        return True
-
-    def join(self, other: "Claim") -> "Claim":
-        if self == other:
-            return self
-        if self.kind == "integral":
-            return other
-        if other.kind == "integral":
-            return self
-        if self.kind == "rational" or other.kind == "rational":
-            return RATIONAL
-        kinds = {self.kind, other.kind}
-        if kinds == {"k-inverted", "p-local"}:
-            inverted, local = (self, other) if self.kind == "k-inverted" else (other, self)
-            # Z[1/k] sits inside Z_(p) exactly when p does not divide k
-            if inverted.param % local.param != 0:
-                return local
-        return RATIONAL
-
-    def label(self) -> str:
-        if self.param is None:
-            return self.kind
-        return f"{self.kind}({self.param})"
-
-
-INTEGRAL = Claim("integral")
-RATIONAL = Claim("rational")
-
-
-def p_local(p: int) -> Claim:
-    return Claim("p-local", p)
-
-
-def k_inverted(k: int) -> Claim:
-    return Claim("k-inverted", k)
-
-
-def _scalar_claim(q: Fraction) -> Claim:
-    return INTEGRAL if q.denominator == 1 else RATIONAL
+        """Whether a denominator den >= 1 in lowest terms is prime to p."""
+        return den % self.p != 0
 
 
 class KClass:
-    """Element of Q[u]/(u^(N+1)) carrying a validated domain claim.
+    """Element of Q[u]/(u^(N+1)): integer numerators over one denominator.
 
-    ``KClass(coeffs, N, claim)`` takes int or Fraction coefficients, and
-    ``KClass(nums, N, claim, den=d)`` integer numerators over d >= 1.
+    ``KClass(coeffs, N)`` takes int or Fraction coefficients, and
+    ``KClass(nums, N, den=d)`` integer numerators over d >= 1.
 
     Instances are immutable by convention.  Equality and hashing compare
-    truncation and coefficients only; the claim is metadata about where the
-    coefficients live, not part of the ring value.  A class with no u-terms
-    equals its constant term and hashes like it.
+    truncation and coefficients.  A class with no u-terms equals its
+    constant term and hashes like it.
     """
 
-    __slots__ = ("truncation", "nums", "den", "claim")
+    __slots__ = ("truncation", "nums", "den")
 
-    def __init__(self, coeffs, truncation: int | None = None, claim: Claim = RATIONAL, *, den=None):
+    def __init__(self, coeffs, truncation: int | None = None, *, den=None):
         if truncation is None:
             truncation = max(len(coeffs) - 1, 0)
         if truncation < 0:
@@ -161,28 +76,20 @@ class KClass:
         if g != 1:
             den //= g
             nums = [x // g for x in nums]
-        if not claim.admits(den):
-            for i, x in enumerate(nums):
-                c = Fraction(x, den)
-                if not claim.admits(c.denominator):
-                    raise DomainClaimError(
-                        f"coefficient {frac_str(c)} of u^{i} violates claim {claim.label()}"
-                    )
         self.truncation = truncation
         self.nums = tuple(nums)
         self.den = den
-        self.claim = claim
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: int, claim: Claim = INTEGRAL) -> "KClass":
-        return cls((), truncation, claim, den=1)
+    def zero(cls, truncation: int) -> "KClass":
+        return cls((), truncation, den=1)
 
     @classmethod
-    def constant(cls, q, truncation: int, claim: Claim | None = None) -> "KClass":
+    def constant(cls, q, truncation: int) -> "KClass":
         q = Fraction(q)
-        return cls((q.numerator,), truncation, claim or _scalar_claim(q), den=q.denominator)
+        return cls((q.numerator,), truncation, den=q.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -197,10 +104,6 @@ class KClass:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def with_claim(self, claim: Claim) -> "KClass":
-        """Re-house the same element under another (validated) claim."""
-        return KClass(self.nums, self.truncation, claim, den=self.den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -222,7 +125,6 @@ class KClass:
         return KClass(
             [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
             self.truncation,
-            self.claim.join(other.claim),
             den=d,
         )
 
@@ -232,7 +134,7 @@ class KClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return KClass([-x for x in self.nums], self.truncation, self.claim, den=self.den)
+        return KClass([-x for x in self.nums], self.truncation, den=self.den)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -248,7 +150,6 @@ class KClass:
             return KClass(
                 series.mul(self.nums, other.nums, self.truncation),
                 self.truncation,
-                self.claim.join(other.claim),
                 den=self.den * other.den,
             )
         if isinstance(other, (int, Fraction)):
@@ -256,7 +157,6 @@ class KClass:
             return KClass(
                 [x * q.numerator for x in self.nums],
                 self.truncation,
-                self.claim.join(_scalar_claim(q)),
                 den=self.den * q.denominator,
             )
         return NotImplemented
@@ -274,11 +174,11 @@ class KClass:
         if n < 0:
             raise ValueError("the truncated model takes no inverse")
         if n == 0:
-            return KClass((1,), self.truncation, INTEGRAL, den=1)
+            return KClass((1,), self.truncation, den=1)
         if not self.nums[0]:
             v = next((i for i, x in enumerate(self.nums) if x), self.truncation + 1)
             if v * n > self.truncation:
-                return KClass.zero(self.truncation, self.claim)
+                return KClass.zero(self.truncation)
         # square up to the lowest set bit, then fold in each higher one:
         # bit_length(n) - 1 squarings and popcount(n) - 1 further products
         base = self
@@ -311,13 +211,13 @@ class KClass:
 
     def __repr__(self):
         body = ", ".join(frac_str(c) for c in self.coeffs)
-        return f"KClass([{body}], N={self.truncation}, claim={self.claim.label()})"
+        return f"KClass([{body}], N={self.truncation})"
 
 
-def line_power(a: int, truncation: int, claim: Claim = INTEGRAL) -> KClass:
+def line_power(a: int, truncation: int) -> KClass:
     """L^a = (1 + u)^a for any integer a; integral for negative a as well."""
     if a >= 0:
         coeffs = [comb(a, i) for i in range(min(a, truncation) + 1)]
     else:
         coeffs = [(-1) ** i * comb(-a + i - 1, i) for i in range(truncation + 1)]
-    return KClass(coeffs, truncation, claim, den=1)
+    return KClass(coeffs, truncation, den=1)

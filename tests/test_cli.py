@@ -429,6 +429,38 @@ def test_wrong_sign_from_the_p_division_fails_the_double_loop_rows(monkeypatch, 
     }
 
 
+def test_quotient_left_over_one_p_too_many_fails_the_theta_rows(monkeypatch, capsys):
+    # every division still succeeds, so only the values can show the fault:
+    # the theta rows read the denominator of theta's result, and the
+    # logarithm's check of its own denominator turns its rows ERROR
+    divide = kops._divide_p_power
+
+    def one_p_too_many(f, p, t):
+        q = divide(f, p, t)
+        return KClass(q.nums, q.truncation, den=q.den * p)
+
+    monkeypatch.setattr(kops, "_divide_p_power", one_p_too_many)
+    assert main(["artin-hasse", "--prime", "3", "--truncation", "6", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    statuses = {}
+    for row in rows:
+        statuses.setdefault(row["check_name"], []).append(row["status"])
+    assert statuses == {
+        "double-loop-log-form": [FAIL] * 2,
+        "double-loop-weight-scalar": [FAIL] * 6,
+        "p-local-log-closed-form": [ERROR] * 3,
+        "theta-integrality": [PASS] * 3 + [FAIL] * 3 + [PASS] * 6,
+    }
+    theta_failures = [
+        (row["parameters"]["t"], row["lhs"])
+        for row in rows
+        if row["check_name"] == "theta-integrality" and row["status"] == FAIL
+    ]
+    assert theta_failures == [(1, "denominator 3")] * 3
+    log_notes = [row["notes"][-1] for row in rows if row["check_name"] == "p-local-log-closed-form"]
+    assert all(note.startswith("ArithmeticError: the logarithm at p = 3 ") for note in log_notes)
+
+
 def test_akita_note_says_when_the_numerator_is_not_a_unit(monkeypatch, capsys):
     assert main(["akita", "--prime", "5", "--json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)
@@ -550,7 +582,7 @@ def test_truncation_stable_row_compares_separate_inversions(
             return f
         coeffs = list(f.coeffs)
         coeffs[m] += 1
-        return KClass(coeffs, truncation, f.claim)
+        return KClass(coeffs, truncation)
 
     monkeypatch.setattr(chern, "r_virtual_conjugate_minus_one", corrupted)
     rows = cmd_eigenvalue(3, None, 3, 8)
@@ -611,7 +643,6 @@ MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockst
 
 # Public names that an `all` run leaves uncalled, each with the reason it stays.
 ALLOWED_UNREACHED = {
-    "polyring.Claim.label": "runs only while building an error message",
     "polyring.KClass.__eq__": "tests compare ring values; report rows compare strings",
     "polyring.KClass.__hash__": "tests hash classes; constants hash like the value they equal",
     "polyring.KClass.__repr__": "only test failure messages and debugging print classes",

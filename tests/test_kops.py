@@ -24,14 +24,7 @@ from kverify.kops import (
     rho_line,
     theta,
 )
-from kverify.polyring import (
-    INTEGRAL,
-    RATIONAL,
-    KClass,
-    k_inverted,
-    line_power,
-    p_local,
-)
+from kverify.polyring import Claim, KClass, line_power
 from test_series import ref_compose
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -43,7 +36,7 @@ def integral_classes(draw, count=1):
     out = []
     for _ in range(count):
         coeffs = draw(st.lists(small_ints, min_size=1, max_size=truncation + 1))
-        out.append(KClass(coeffs, truncation, INTEGRAL))
+        out.append(KClass(coeffs, truncation))
     return tuple(out)
 
 
@@ -71,7 +64,7 @@ def test_psi_composition_law(fs, k, l):
 
 
 def test_psi_one_is_identity():
-    f = KClass([1, 2, 3], 4, INTEGRAL)
+    f = KClass([1, 2, 3], 4)
     assert psi(1, f) == f
 
 
@@ -86,20 +79,21 @@ def test_psi_on_line_powers(a, k, truncation):
 
 
 def test_psi_preserves_claim():
-    f = KClass([0, Fraction(1, 2)], 3, p_local(3))
-    assert psi(3, f).claim == p_local(3)
+    # psi of a 3-local class is 3-local, read off its denominator
+    f = KClass([0, Fraction(1, 2)], 3)
+    assert Claim(3).admits(psi(3, f).den)
     with pytest.raises(ValueError):
         psi(0, f)
 
 
 def _psi_inputs(truncation):
-    """Classes at one truncation under each claim psi must keep."""
+    """Classes at one truncation: integral, 3-local, with 5 inverted, rational."""
     ramp = range(1, truncation + 2)
     return [
-        KClass([(-1) ** i * i * i for i in ramp], truncation, INTEGRAL),
-        KClass([Fraction(i, 2) for i in ramp], truncation, p_local(3)),
-        KClass([Fraction(1, 5**i) for i in range(truncation + 1)], truncation, k_inverted(5)),
-        KClass([Fraction(i, i + 3) for i in ramp], truncation, RATIONAL),
+        KClass([(-1) ** i * i * i for i in ramp], truncation),
+        KClass([Fraction(i, 2) for i in ramp], truncation),
+        KClass([Fraction(1, 5**i) for i in range(truncation + 1)], truncation),
+        KClass([Fraction(i, i + 3) for i in ramp], truncation),
     ]
 
 
@@ -113,7 +107,7 @@ def test_psi_matches_horner_substitution(k, truncation):
         result = psi(k, f)
         assert result.coeffs == horner
         assert result.truncation == truncation
-        assert result.claim == f.claim
+        assert f.den % result.den == 0  # no new prime in the denominator
 
 
 
@@ -132,8 +126,8 @@ def test_rho_sum_defining_relation():
     for k in (2, 3):
         for exponents in ((1,), (1, 2), (2, 3), (1, 1, 2)):
             # the transfer class of a sum of lines is the product of the line values
-            product = line_power(0, 8, INTEGRAL)
-            rho = line_power(0, 8, k_inverted(k))
+            product = line_power(0, 8)
+            rho = line_power(0, 8)
             for a in exponents:
                 product = product * (line_power(0, 8) - line_power(a, 8))
                 rho = rho * rho_line(k, a, 8)
@@ -143,12 +137,13 @@ def test_rho_sum_defining_relation():
 
 
 def test_rho_claims_and_errors():
-    assert rho_line(3, 1, 4).claim == k_inverted(3)
+    # rho_line has k inverted: its denominator divides k
+    for k in (2, 3, 6):
+        assert k % rho_line(k, 1, 4).den == 0
+    assert rho_line(3, 1, 4).den == 3
+    assert rho_line(1, 5, 4) == 1  # the trivial cover
     with pytest.raises(ValueError):
         rho_line(0, 1, 4)
-    with pytest.raises(ValueError):
-        # k = 1 would be the trivial cover; the claim machinery wants k >= 2
-        rho_line(1, 5, 4)
 
 
 def test_conjugate_average_frozen_values():
@@ -171,10 +166,10 @@ def test_conjugate_average_polynomial_identity():
     # line powers, and checked against the binomial rows that replace them
     for k in range(2, 16):
         for truncation in (4, 8, 12, 16):
-            num = KClass.zero(truncation, INTEGRAL)
+            num = KClass.zero(truncation)
             for i in range(k - 1):
                 num = num + (k - 1 - i) * line_power(i, truncation)
-            den = KClass.zero(truncation, INTEGRAL)
+            den = KClass.zero(truncation)
             for i in range(k):
                 den = den + line_power(i, truncation)
             rows = range(truncation + 1)
@@ -203,7 +198,7 @@ def test_conjugate_average_at_windows_shorter_than_its_rows():
             den = [comb(k, j + 1) for j in range(truncation + 1)]
             got = r_line_conjugate(k, truncation)
             assert got.coeffs == tuple(_long_division(num, den, truncation)), (k, truncation)
-            assert (got.truncation, got.claim) == (truncation, k_inverted(k))
+            assert got.truncation == truncation
 
 
 def test_virtual_conjugate_reduced():
@@ -228,7 +223,7 @@ def test_theta_frozen_values():
 
 
 def test_theta_t_zero_is_identity():
-    f = KClass([0, 1, 2], 5, INTEGRAL)
+    f = KClass([0, 1, 2], 5)
     assert theta(5, 0, f) == f
 
 
@@ -238,7 +233,7 @@ def test_theta_integral_on_integral_input():
     for p in (2, 3, 5):
         for t in (1, 2, 3):
             for coeffs in ([0, 1], [0, 1, 1], [0, 2, 0, 1], [0, -1, 3]):
-                f = KClass(coeffs, 10, INTEGRAL)
+                f = KClass(coeffs, 10)
                 g = theta(p, t, f)
                 assert all(c.denominator == 1 for c in g.coeffs), (p, t, coeffs)
 
@@ -251,16 +246,31 @@ def test_theta_input_validation():
         theta(3, -1, u)
     with pytest.raises(ValueError):
         theta(3, 1, line_power(1, 4))  # augmentation 1
-    with pytest.raises(ValueError):
-        theta(3, 1, u.with_claim(p_local(5)))
-    with pytest.raises(ValueError):
-        theta(3, 1, u.with_claim(k_inverted(2)))
+    with pytest.raises(ValueError, match="needs a 3-local input"):
+        theta(3, 1, u * Fraction(1, 3))
+
+
+def test_p_locality_is_read_off_the_values():
+    # theta, the double-loop form and the logarithm refuse a 3 in the
+    # input's denominator and accept any other prime there
+    u = line_power(1, 4) - 1
+    for x in (u * Fraction(1, 3), u * Fraction(2, 15)):
+        for operation in (lambda x: theta(3, 1, x), lambda x: l_double_loop(3, x)):
+            with pytest.raises(ValueError, match="needs a 3-local input"):
+                operation(x)
+        with pytest.raises(ValueError, match="needs a 3-local input"):
+            artin_hasse_log(3, x)
+    x = u * Fraction(1, 5)
+    for t in (0, 1, 2):
+        assert Claim(3).admits(theta(3, t, x).den)
+    assert l_double_loop(3, x) == x - psi(3, x)
+    assert Claim(3).admits(artin_hasse_log(3, x).den)
 
 
 def test_integrality_violation_contract():
-    # Unreachable through theta on inputs its claim check admits (that is
-    # the lemma), so pin the exception payload on the divider itself.
-    f = KClass([0, Fraction(1, 2)], 2, p_local(3))
+    # Unreachable through theta on inputs its p-locality check admits (that
+    # is the lemma), so pin the exception payload on the divider itself.
+    f = KClass([0, Fraction(1, 2)], 2)
     with pytest.raises(IntegralityViolation) as info:
         kops._divide_p_power(f, 3, 1)
     err = info.value
@@ -324,13 +334,13 @@ def test_artin_hasse_log_closed_form():
 def _log_by_theta(p, x):
     """The defining double sum, every term a public theta call."""
     truncation = x.truncation
-    total = KClass.zero(truncation, INTEGRAL)
+    total = KClass.zero(truncation)
     xn = x
     for n in range(1, truncation + 1):
         if xn.is_zero():
             break
         if n % p != 0:
-            inner = KClass.zero(truncation, INTEGRAL)
+            inner = KClass.zero(truncation)
             t = 0
             while t == 0 or n * p ** (t - 1) <= truncation:
                 inner = inner + theta(p, t, xn)
@@ -349,18 +359,23 @@ def test_artin_hasse_log_is_the_theta_sum():
             for x in (u, u * u, u + u * u):
                 got = artin_hasse_log(p, x)
                 assert got == _log_by_theta(p, x), (p, truncation)
-                assert got.claim == p_local(p)
-    u = line_power(1, 4) - 1
-    for claim in (p_local(5), k_inverted(3), RATIONAL):
-        with pytest.raises(ValueError):
-            artin_hasse_log(3, u.with_claim(claim))
+                assert Claim(p).admits(got.den)
+
+
+def test_artin_hasse_log_of_a_3_local_class_is_the_theta_sum():
+    # u/5 is not integral but is 3-local, so the logarithm takes it
+    for truncation in (4, 9):
+        x = (line_power(1, truncation) - 1) / 5
+        got = artin_hasse_log(3, x)
+        assert got == _log_by_theta(3, x), truncation
+        assert all(c.denominator % 3 for c in got.coeffs), truncation
 
 
 def test_artin_hasse_log_is_p_locally_integral():
     for p in (2, 3, 5, 7):
         u = line_power(1, 8) - 1
         f = artin_hasse_log(p, u)
-        assert f.claim == p_local(p)
+        assert Claim(p).admits(f.den)
         assert all(c.denominator % p != 0 for c in f.coeffs)
 
 
@@ -379,12 +394,12 @@ def test_double_loop_log_telescopes():
         for f in (
             line_power(1, 6),
             line_power(1, 6) - 1,
-            KClass([1, 3, 0, 1], 6, INTEGRAL),
+            KClass([1, 3, 0, 1], 6),
         ):
             assert l_double_loop(p, f) == f - psi(p, f)
 
 
 def test_double_loop_log_zero_truncation():
     # degenerate base space: everything is scalar, psi^p fixes it
-    f = KClass([5], 0, INTEGRAL)
+    f = KClass([5], 0)
     assert l_double_loop(3, f).is_zero()

@@ -1,4 +1,4 @@
-"""Ring axioms and claim bookkeeping for the truncated polynomial model."""
+"""Ring axioms and the one-denominator representation of the truncated polynomial model."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,18 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kverify import series
-from kverify.exact import frac_str
-from kverify.polyring import (
-    INTEGRAL,
-    RATIONAL,
-    Claim,
-    DomainClaimError,
-    KClass,
-    TruncationMismatch,
-    k_inverted,
-    line_power,
-    p_local,
-)
+from kverify.polyring import Claim, KClass, TruncationMismatch, line_power
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -27,14 +16,13 @@ small_ints = st.integers(min_value=-6, max_value=6)
 
 @st.composite
 def kclass_tuples(draw, count=2, integral=False):
-    """``count`` classes sharing one truncation, RATIONAL claim by default."""
+    """``count`` classes sharing one truncation, rational by default."""
     truncation = draw(st.integers(min_value=0, max_value=5))
     entry = small_ints if integral else small_fractions
-    claim = INTEGRAL if integral else RATIONAL
     out = []
     for _ in range(count):
         coeffs = draw(st.lists(entry, min_size=1, max_size=truncation + 1))
-        out.append(KClass(coeffs, truncation, claim))
+        out.append(KClass(coeffs, truncation))
     return tuple(out)
 
 
@@ -72,9 +60,7 @@ def test_scalar_action(fs, a, b):
 def test_scalar_minus_class_is_negated_class_minus_scalar(fs, q):
     # q - f reaches KClass.__rsub__, for an int and for a Fraction q
     (f,) = fs
-    for g in (f, f.with_claim(p_local(3))) if f.claim == INTEGRAL else (f,):
-        assert q - g == -(g - q)
-        assert (q - g).claim == (-(g - q)).claim
+    assert q - f == -(f - q)
 
 
 @settings(max_examples=40)
@@ -89,9 +75,9 @@ def test_power_is_repeated_product(fs, n):
 
 _POWER_SAMPLES = (
     line_power(3, 6),  # a unit
-    KClass([0, 1, -2, 0, 3], 6, INTEGRAL),  # reduced
-    KClass([0, Fraction(1, 2), 1], 6, p_local(5)),  # reduced, 5-local
-    KClass([Fraction(1, 3), 1, Fraction(2, 9)], 6, k_inverted(3)),
+    KClass([0, 1, -2, 0, 3], 6),  # reduced
+    KClass([0, Fraction(1, 2), 1], 6),  # reduced, 5-local
+    KClass([Fraction(1, 3), 1, Fraction(2, 9)], 6),  # 3 inverted
 )
 
 
@@ -99,18 +85,18 @@ def test_zeroth_power_is_the_unit_and_negative_powers_are_refused():
     # the model takes no inverse, not even of a class whose augmentation is a unit
     for f in _POWER_SAMPLES + (KClass.zero(4),):
         one = f**0
-        assert (one, one.truncation, one.claim) == (1, f.truncation, INTEGRAL)
+        assert (one, one.truncation, one.den) == (1, f.truncation, 1)
         for n in (1, 2, 7):
             with pytest.raises(ValueError, match="takes no inverse"):
                 f**-n
 
 
-def test_power_matches_repeated_product_with_the_same_claim():
+def test_power_matches_repeated_product_on_samples():
     for f in _POWER_SAMPLES:
         expected = line_power(0, f.truncation)
         for n in range(21):
             got = f**n
-            assert (got, got.claim) == (expected, expected.claim), (f, n)
+            assert got == expected, (f, n)
             expected = expected * f
 
 
@@ -138,7 +124,7 @@ def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
 
 def test_vanished_power_is_the_zero_class_with_no_product(monkeypatch):
     # f of u-adic valuation v >= 1 has f**n = 0 once v n > N: that power is
-    # still the repeated product, the zero class under f's claim, and takes
+    # still the repeated product, the zero class, and takes
     # no product; a class with a nonzero constant term never takes this way
     u = line_power(1, 6) - 1
     reduced = [(u, 1), (u * u, 2), (u + u * u, 1), (_POWER_SAMPLES[2], 1)]
@@ -159,7 +145,7 @@ def test_vanished_power_is_the_zero_class_with_no_product(monkeypatch):
     for f, v, n, expected in cases:
         products.clear()
         got = f**n
-        assert (got, got.claim) == (expected, expected.claim), (f, n)
+        assert got == expected, (f, n)
         if v and v * n > f.truncation:
             assert got.is_zero() and products == [], (f, n)
         else:
@@ -179,105 +165,65 @@ def test_truncation_discards_high_terms():
     assert KClass([1, 2, 3, 4], 2) == KClass([1, 2, 3], 2)
 
 
-def test_equality_ignores_claim():
-    assert KClass([1, 2], 3, INTEGRAL) == KClass([1, 2], 3, RATIONAL)
-    assert hash(KClass([1, 2], 3, INTEGRAL)) == hash(KClass([1, 2], 3, RATIONAL))
-    assert KClass([7], 2) == 7
+def test_a_class_with_no_u_terms_equals_its_constant():
+    assert KClass([7], 2) == 7 and hash(KClass([7], 2)) == hash(7)
     assert KClass([0, 1], 2) != 0
 
 
 def test_coefficient_accessors():
-    f = KClass([1, Fraction(1, 2)], 4, RATIONAL)
+    f = KClass([1, Fraction(1, 2)], 4)
     assert f.augmentation == 1
     assert f.coeffs[1] == Fraction(1, 2)
     assert f.coeffs[4] == 0
     assert len(f.coeffs) == 5
 
 
-# -- claims -----------------------------------------------------------------
+# -- p-locality ------------------------------------------------------------
 
 
 def test_claim_admits():
-    # admits reads a lowest-terms denominator
-    assert INTEGRAL.admits(1) and not INTEGRAL.admits(3)
-    assert p_local(2).admits(3) and not p_local(3).admits(3)
-    assert k_inverted(6).admits(12)
-    assert not k_inverted(6).admits(5)
-    assert RATIONAL.admits(3)
-
-
-def test_claim_join_lattice():
-    assert INTEGRAL.join(p_local(5)) == p_local(5)
-    assert p_local(5).join(RATIONAL) == RATIONAL
-    assert p_local(3).join(p_local(5)) == RATIONAL
-    # Z[1/k] lands in Z_(p) exactly when p does not divide k
-    assert k_inverted(6).join(p_local(5)) == p_local(5)
-    assert k_inverted(6).join(p_local(3)) == RATIONAL
-    assert k_inverted(4).join(k_inverted(4)) == k_inverted(4)
-    assert k_inverted(4).join(k_inverted(6)) == RATIONAL
-
-
-def test_claim_validation_on_construction():
-    with pytest.raises(DomainClaimError):
-        KClass([Fraction(1, 2)], 2, INTEGRAL)
-    with pytest.raises(DomainClaimError):
-        KClass([Fraction(1, 3)], 2, p_local(3))
-    KClass([Fraction(1, 3)], 2, p_local(2))  # fine
-    with pytest.raises(DomainClaimError):
-        KClass([Fraction(1, 2)], 1, INTEGRAL).with_claim(INTEGRAL)
+    # admits reads a lowest-terms denominator: prime to p or not
+    assert Claim(2).admits(3) and not Claim(3).admits(3)
+    assert Claim(5).admits(1) and Claim(7).admits(12)
+    assert not Claim(2).admits(12)
 
 
 def test_coefficients_are_read_as_fractions_and_still_checked():
     # ints, bools and Fractions are stored as integer numerators over one
     # denominator; coeffs reads them back as Fractions of the same value, and
-    # a Fraction coefficient still meets the claim check like any other
+    # a Fraction coefficient still counts in the p-locality of that denominator
     half = Fraction(1, 2)
-    f = KClass([1, True, half, False], 5, RATIONAL)
+    f = KClass([1, True, half, False], 5)
     assert (f.nums, f.den) == ((2, 2, 1, 0, 0, 0), 2)
     assert all(type(c) is Fraction for c in f.coeffs)
     assert f.coeffs == (1, 1, half, 0, 0, 0)
     assert all(type(x) is int for x in f.nums)
     assert all(type(c) is Fraction for c in KClass.constant(3, 2).coeffs)
     assert all(type(c) is Fraction for c in (line_power(-1, 4) * 2).coeffs)
-    assert KClass([4, 6], 1, RATIONAL, den=4) == KClass([1, Fraction(3, 2)], 1)
+    assert KClass([4, 6], 1, den=4) == KClass([1, Fraction(3, 2)], 1)
     with pytest.raises(ValueError):
         KClass([1], 1, den=0)
-    with pytest.raises(DomainClaimError):
-        KClass([1, True, half], 3, INTEGRAL)
-    with pytest.raises(DomainClaimError):
-        KClass([2, 0, Fraction(1, 3), 5], 3, p_local(3))
-    with pytest.raises(DomainClaimError):
-        (KClass([1, 2], 2, INTEGRAL) * half).with_claim(INTEGRAL)
-    assert INTEGRAL.admits(Fraction(True).denominator) and not INTEGRAL.admits(half.denominator)
+    assert not Claim(2).admits(KClass([1, True, half], 3).den)
+    assert not Claim(3).admits(KClass([2, 0, Fraction(1, 3), 5], 3).den)
+    assert not Claim(2).admits((KClass([1, 2], 2) * half).den)
 
 
 # -- one denominator --------------------------------------------------------
 
-some_claims = st.one_of(
-    st.just(INTEGRAL),
-    st.just(RATIONAL),
-    st.sampled_from([2, 3, 5, 7]).map(p_local),
-    st.integers(min_value=2, max_value=12).map(k_inverted),
-)
-claim_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+coefficient_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=30)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(claim_fractions, min_size=1, max_size=7), some_claims)
-def test_denominator_check_matches_coefficient_check(coeffs, claim):
-    # the claim test of the one denominator accepts and rejects exactly what
-    # a test of each coefficient does, and names the same first offender
-    offender = next((i for i, c in enumerate(coeffs) if not claim.admits(c.denominator)), None)
-    if offender is None:
-        assert KClass(coeffs, len(coeffs) - 1, claim).coeffs == tuple(coeffs)
-        return
-    expected = (
-        f"coefficient {frac_str(coeffs[offender])} of u^{offender} "
-        f"violates claim {claim.label()}"
-    )
-    with pytest.raises(DomainClaimError) as raised:
-        KClass(coeffs, len(coeffs) - 1, claim)
-    assert str(raised.value) == expected
+@given(
+    st.lists(coefficient_fractions, min_size=1, max_size=7),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_denominator_check_matches_coefficient_check(coeffs, p):
+    # the p-locality test of the one denominator holds exactly when every
+    # coefficient's denominator is prime to p
+    f = KClass(coeffs, len(coeffs) - 1)
+    assert f.coeffs == tuple(coeffs)
+    assert Claim(p).admits(f.den) == all(c.denominator % p for c in coeffs)
 
 
 def _lowest_terms(f: KClass) -> bool:
@@ -302,7 +248,7 @@ def test_routes_to_one_value_compare_and_hash_equal():
             line_power(-1, n) * line_power(1, n),
             line_power(2, n) * line_power(-2, n),
             KClass([Fraction(3, 7)], n) * Fraction(7, 3),
-            (KClass([2, 4], n, INTEGRAL) * Fraction(1, 4) - KClass([0, 1], n) / 1) * 2,
+            (KClass([2, 4], n) * Fraction(1, 4) - KClass([0, 1], n) / 1) * 2,
             KClass([6], n, den=6),
         ):
             assert other == one and hash(other) == hash(one), (n, other)
@@ -320,18 +266,7 @@ def test_equal_values_hash_equal(fg, q):
         if a == b:
             assert hash(a) == hash(b), (a, b)
     assert constant == q and hash(constant) == hash(q)
-    assert len({line_power(0, 3), 1, line_power(0, 3, RATIONAL)}) == 1
-
-
-def test_claim_constructor_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        Claim("integral", 3)
-    with pytest.raises(ValueError):
-        Claim("p-local", 4)
-    with pytest.raises(ValueError):
-        Claim("k-inverted", 1)
-    with pytest.raises(ValueError):
-        Claim("mystery")
+    assert len({line_power(0, 3), 1, KClass([1], 3)}) == 1
 
 
 # -- powers of the line class -----------------------------------------------
@@ -354,7 +289,7 @@ def test_line_power_small_cases():
 def test_line_power_is_multiplicative(a, b, truncation):
     lhs = line_power(a, truncation) * line_power(b, truncation)
     assert lhs == line_power(a + b, truncation)
-    assert line_power(a, truncation).claim == INTEGRAL
+    assert line_power(a, truncation).den == 1
 
 
 def test_line_power_inverse_route():
