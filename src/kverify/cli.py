@@ -5,11 +5,18 @@ its lhs and rhs strings agree; FAIL means the comparison ran and came out
 unequal; ERROR means the computation itself raised.  All numeric payloads
 are fraction or residue strings, never floats.
 
+The argv is a command of COMMANDS, then its options in any order: --json,
+-h or --help, and --NAME VALUE or --NAME=VALUE for each setting the
+command takes (`all` takes --config PATH instead).  Names are spelled out
+in full and a repeated option keeps its last value.  parse_argv reads it
+straight from the table, and every bad argv is a UsageError.
+
 JSON mode prints a single top-level array of row objects in the layout of
-json.dumps(rows, sort_keys=True, indent=2), so output is byte-stable for
-fixed inputs apart from the elapsed_ms timing field.  Rows are ordered by
-(check_name, parameters).  Exit status: 0 when every row is PASS, 1 when
-any row is FAIL or ERROR, 2 for usage or config problems.
+json.dumps(rows, sort_keys=True, indent=2), written in pieces of about 64
+KB, so output is byte-stable for fixed inputs apart from the elapsed_ms
+timing field.  Rows are ordered by (check_name, parameters).  Exit status:
+0 when every row is PASS, 1 when any row is FAIL or ERROR, 2 for usage or
+config problems; main returns it and never raises SystemExit.
 
 Every command shares the exact module; each suite imports the other modules
 it runs when it starts, so `bernoulli` loads only exact and series, and
@@ -19,11 +26,11 @@ string encoder, so no command but `all --config` imports the json package.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from _json import encode_basestring_ascii
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -163,11 +170,19 @@ class CheckReport(NamedTuple):
     elapsed_ms: int
 
 
-def make_row(
-    name: str, parameters: dict, lhs: str, rhs: str, notes: tuple = (), elapsed_ms: int = 0
-) -> CheckReport:
-    """A row of a comparison that ran: PASS exactly when lhs == rhs."""
-    return CheckReport(name, parameters, PASS if lhs == rhs else FAIL, lhs, rhs, notes, elapsed_ms)
+_new_row = tuple.__new__  # CheckReport's own __new__ is a Python call
+
+
+def make_rows(name: str, comparisons, notes: tuple = (), elapsed_ms: int = 0) -> list[CheckReport]:
+    """The rows of comparisons that ran, one per (parameters, lhs, rhs):
+    PASS exactly when lhs == rhs."""
+    return [
+        _new_row(
+            CheckReport,
+            (name, parameters, PASS if lhs == rhs else FAIL, lhs, rhs, notes, elapsed_ms),
+        )
+        for parameters, lhs, rhs in comparisons
+    ]
 
 
 def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckReport:
@@ -180,7 +195,8 @@ def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckRep
         failure_note = f"{type(err).__name__}: {err}"
         return CheckReport(name, parameters, ERROR, "", "", notes + (failure_note,), elapsed)
     elapsed = int((time.perf_counter() - start) * 1000)
-    return make_row(name, parameters, lhs, rhs, notes + tuple(extra), elapsed)
+    (row,) = make_rows(name, [(parameters, lhs, rhs)], notes + tuple(extra), elapsed)
+    return row
 
 
 def _report_order(parameters: dict):
@@ -193,32 +209,35 @@ def _report_order(parameters: dict):
     return order, lambda values: tuple(map(values.__getitem__, order))
 
 
+_CHECK_NAME = itemgetter(0)
+_PARAMETERS = itemgetter(1)
+
+
 def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
     """The rows ordered by (check_name, sorted(parameters.items())).
 
-    The key is that one flattened, [check_name, k1, v1, k2, v2, ...], which
-    orders any two rows alike, also two of one check name whose parameters
-    have different names.  Within one check name each parameter is always
-    an int or always a str, so the values compare directly and integers
-    sort numerically."""
-    shapes = {}
-
-    def key(row):
-        parameters = row.parameters
-        shape = (row.check_name, *parameters)
-        entry = shapes.get(shape)
-        if entry is None:
-            order, values = _report_order(parameters)
-            flat = [row.check_name]
-            for name in order:
-                flat += (name, None)
-            entry = shapes[shape] = flat, values
-        flat, values = entry
-        flat = flat.copy()
-        flat[2::2] = values(parameters)
-        return flat
-
-    return sorted(rows, key=key)
+    Suites emit each check name's rows in runs, and every row of a check
+    name has the same parameter names, each always an int or always a str.
+    So the rows are gathered per check name in one step a run, and each
+    check's rows sort on a C-level key: the tuple of their parameter values
+    in report order, an itemgetter per check, under which integers sort
+    numerically.  A check whose rows differ in their parameter names sorts
+    on sorted(parameters.items()) itself."""
+    checks = {}
+    for name, run in groupby(rows, _CHECK_NAME):
+        checks.setdefault(name, []).extend(run)
+    ordered = []
+    for name in sorted(checks):
+        group = checks[name]
+        parameters = list(map(_PARAMETERS, group))
+        if len(set(map(tuple, parameters))) > 1:
+            ordered += sorted(group, key=lambda row: sorted(row.parameters.items()))
+        elif parameters[0]:
+            keys = list(map(itemgetter(*sorted(parameters[0])), parameters))
+            ordered += map(group.__getitem__, sorted(range(len(group)), key=keys.__getitem__))
+        else:
+            ordered += group
+    return ordered
 
 
 def _coeff_string(f) -> str:
@@ -488,24 +507,24 @@ def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[Che
             continue
         report = found[0]
         rows.append(first)
-        rows += [
-            make_row(
-                "bockstein-page-summary",
-                {**params, "page": page},
-                f"{report.mismatches[page]} mismatches",
-                "0 mismatches",
-            )
-            for page in range(3, pages + 1)
-        ]
-        rows += [
-            make_row(
-                "bockstein-page-dimension",
-                {**params, "page": page, "degree": degree},
-                str(computed),
-                str(predicted),
-            )
-            for page, degree, computed, predicted in report.rows
-        ]
+        rows += make_rows(
+            "bockstein-page-summary",
+            (
+                ({**params, "page": page}, f"{report.mismatches[page]} mismatches", "0 mismatches")
+                for page in range(3, pages + 1)
+            ),
+        )
+        rows += make_rows(
+            "bockstein-page-dimension",
+            (
+                (
+                    {"p": p, "deg": deg, "kind": kind_label, "page": page, "degree": degree},
+                    str(computed),
+                    str(predicted),
+                )
+                for page, degree, computed, predicted in report.rows
+            ),
+        )
     return rows
 
 
@@ -571,23 +590,70 @@ COMMANDS = {
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kverify",
-        description="Exact desk-scale checks for K-theory operation identities, "
-        "Bernoulli valuations, and mod-p homology pairings.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON array of report rows")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, names) in COMMANDS.items():
-        options = sub.add_parser(command, parents=[common])
-        if command == "all":
-            options.add_argument("--config", default=None, help="flat JSON object of option overrides")
+_HELP = ("-h", "--help")
+
+
+def _flags(command: str) -> dict:
+    """{option: setting} of a command; `all` reads its settings from --config."""
+    names = ("config",) if command == "all" else COMMANDS[command][1]
+    return {"--" + name.replace("_", "-"): name for name in names}
+
+
+def _usage() -> str:
+    lines = ["usage: kverify COMMAND [--json] [--NAME VALUE | --NAME=VALUE ...]", "", "commands:"]
+    for command in COMMANDS:
+        options = " ".join(f"[{flag} {name.upper()}]" for flag, name in _flags(command).items())
+        lines.append(f"  {command:12} {options}")
+    lines += [
+        "",
+        "--json emits a JSON array of report rows; --config names a flat JSON object",
+        "of option overrides; every other option takes an integer.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _integer(flag: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+
+
+def parse_argv(argv: list[str]) -> tuple[str, dict, bool] | None:
+    """(command, {setting: value} of the options given, whether --json
+    was given) from argv, or None when -h or --help asks for the usage.
+
+    argv is a command of COMMANDS, then --json, -h, --help and, for each
+    setting of the command, --NAME VALUE or --NAME=VALUE, in any order.  A
+    repeated option keeps its last value.  Anything else raises UsageError."""
+    if not argv:
+        raise UsageError("no command given (see kverify --help)")
+    command, *rest = argv
+    if command in _HELP:
+        return None
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; the commands are {', '.join(COMMANDS)}")
+    flags = _flags(command)
+    values = {}
+    as_json = False
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if token == "--json":
+            as_json = True
             continue
-        for name in names:
-            options.add_argument("--" + name.replace("_", "-"), type=int, default=DEFAULTS[name])
-    return parser
+        flag, equals, value = token.partition("=")
+        name = flags.get(flag)
+        if name is None:
+            known = ", ".join([*flags, "--json"])
+            raise UsageError(f"unknown argument {token!r} for {command}; its options are {known}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{flag} needs a value")
+        values[name] = value if name == "config" else _integer(flag, value)
+    return command, values, as_json
 
 
 def _config_settings(path: str | None, names) -> dict:
@@ -615,13 +681,13 @@ def _config_settings(path: str | None, names) -> dict:
     return {name: config.get(name, DEFAULTS[name]) for name in names}
 
 
-def _rows_for(args) -> list[CheckReport]:
-    suite, names = COMMANDS[args.command]
-    if args.command == "all":
-        settings = _config_settings(args.config, names)
+def _rows_for(command: str, values: dict) -> list[CheckReport]:
+    suite, names = COMMANDS[command]
+    if command == "all":
+        settings = _config_settings(values.get("config"), names)
     else:
-        settings = {name: getattr(args, name) for name in names}
-    check_settings(args.command, settings)
+        settings = {name: values.get(name, DEFAULTS[name]) for name in names}
+    check_settings(command, settings)
     return suite(*settings.values())
 
 
@@ -645,38 +711,60 @@ def _print_table(rows: list[CheckReport]) -> None:
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
 
 
-def _json_array(rows: list[CheckReport]) -> str:
-    """The rows in exactly the layout of json.dumps([row._asdict() for row
-    in rows], sort_keys=True, indent=2).  json.dumps takes its
-    pure-Python encoder whenever indent is set; this takes the C string
-    encoder that json.dumps calls under ensure_ascii.
+_PIECE = 1 << 16  # characters of JSON text per write
 
-    Each row shape (check name, status, parameter names and value types)
-    gets one %-format layout, so a row encodes only lhs, rhs, its str
-    parameter values and elapsed_ms; a notes block is encoded once per
-    notes tuple."""
+
+def _json_pieces(rows: list[CheckReport], piece: int = _PIECE):
+    """The rows in exactly the layout of json.dumps([row._asdict() for row
+    in rows], sort_keys=True, indent=2), as consecutive pieces of text: each
+    piece but the last holds whole rows of at least `piece` characters.
+    json.dumps takes its pure-Python encoder whenever indent is set; this
+    takes the C string encoder that json.dumps calls under ensure_ascii.
+
+    Each row shape (check name, status and parameter names) gets one
+    %-format layout, so a row encodes only lhs, rhs, its str parameter
+    values and elapsed_ms; a notes block is encoded once per notes tuple.
+    A layout also fixes which parameter values are strs, so a row whose
+    values differ in type from those of the row its layout was made from
+    fails to format with TypeError, and gets a layout of its own."""
     if not rows:
-        return "[]"
-    enc = encode_basestring_ascii
+        yield "[]"
+        return
     layouts = {}
     blocks = {}
     out = []
+    size = 0
+    lead = "[\n"
     for name, parameters, status, lhs, rhs, notes, elapsed_ms in rows:
-        shape = (name, status, *parameters, *map(type, parameters.values()))
+        shape = (name, status, *parameters)
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _json_layout(name, parameters, status)
-        text, values, strings = layout
-        values = values(parameters)
-        if strings:
-            values = list(values)
-            for i in strings:
-                values[i] = enc(values[i])
         block = blocks.get(notes)
         if block is None:
-            block = blocks[notes] = _json_items(map(enc, notes))
-        out.append(text % (elapsed_ms, enc(lhs), block, *values, enc(rhs)))
-    return "[\n" + ",\n".join(out) + "\n]"
+            block = blocks[notes] = _json_items(map(encode_basestring_ascii, notes))
+        try:
+            text = _json_row(layout, parameters, lhs, rhs, block, elapsed_ms)
+        except TypeError:
+            layout = _json_layout(name, parameters, status)
+            text = _json_row(layout, parameters, lhs, rhs, block, elapsed_ms)
+        out.append(text)
+        size += len(text)
+        if size >= piece:
+            yield lead + ",\n".join(out)
+            lead, out, size = ",\n", [], 0
+    yield (lead + ",\n".join(out) if out else "") + "\n]"
+
+
+def _json_row(layout, parameters: dict, lhs: str, rhs: str, block: str, elapsed_ms: int) -> str:
+    enc = encode_basestring_ascii
+    text, values, strings = layout
+    values = values(parameters)
+    if strings:
+        values = list(values)
+        for i in strings:
+            values[i] = enc(values[i])
+    return text % (elapsed_ms, enc(lhs), block, *values, enc(rhs))
 
 
 def _json_items(items) -> str:
@@ -713,16 +801,22 @@ def _json_layout(name: str, parameters: dict, status: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        rows = sort_reports(_rows_for(args))
+        parsed = parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(_usage())
+            return 0
+        command, values, as_json = parsed
+        rows = sort_reports(_rows_for(command, values))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        # one write: with PYTHONUNBUFFERED each write is a system call
-        sys.stdout.write(_json_array(rows) + "\n")
+    if as_json:
+        # large pieces: with PYTHONUNBUFFERED each write is a system call
+        write = sys.stdout.write
+        for piece in _json_pieces(rows):
+            write(piece)
+        write("\n")
     else:
         _print_table(rows)
     return 0 if all(row.status == PASS for row in rows) else 1

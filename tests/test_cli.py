@@ -1,7 +1,9 @@
 """Exit codes, report schema, ordering, and JSON stability of the CLI."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import inspect
 import json
 import os
@@ -22,11 +24,11 @@ from kverify.cli import (
     FAIL,
     PASS,
     CheckReport,
-    build_parser,
     cmd_bernoulli,
     cmd_eigenvalue,
     cmd_theorem_a,
     main,
+    parse_argv,
     run_check,
     sort_reports,
 )
@@ -118,11 +120,71 @@ def test_each_parameter_has_one_type_per_check(argv):
     # sort_reports compares parameter values without a type tag
     assert {command for command, *_ in SMALL_ARGV.values()} == set(cli.COMMANDS)
     types = {}
-    for row in cli._rows_for(build_parser().parse_args(argv)):
+    command, values, _ = parse_argv(argv)
+    for row in cli._rows_for(command, values):
         for name, value in row.parameters.items():
             types.setdefault((row.check_name, name), set()).add(type(value))
     assert types
     assert {frozenset(kinds) for kinds in types.values()} <= {frozenset({int}), frozenset({str})}
+
+
+# -- the argv contract -------------------------------------------------------
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of main on argv, elapsed_ms set to 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["bockstein", "-h"], ["all", "--json", "--help"]]
+)
+def test_help_lists_every_command_and_option(argv):
+    code, out, err = _run_main(argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    for command, (_, names) in cli.COMMANDS.items():
+        (line,) = [line for line in lines if line.split()[:1] == [command]]
+        flags = ["--" + name.replace("_", "-") for name in names]
+        if command == "all":
+            flags = ["--config"]
+        assert re.findall(r"\[(--[a-z-]+) ", line) == flags
+    assert "--json" in out
+
+
+def test_option_value_forms_and_repeats_give_the_same_rows():
+    base = _run_main(["bockstein", "--prime", "3", "--max-deg", "60", "--json"])
+    assert base[0] == 0 and base[1]
+    assert _run_main(["bockstein", "--prime=3", "--json", "--max-deg=60"]) == base
+    # a repeated option keeps its last value
+    repeated = ["--prime", "5", "--max-deg=9", "--prime=3", "--max-deg", "60"]
+    assert _run_main(["bockstein", *repeated, "--json"]) == base
+
+
+# Each argv is refused by the parser itself, before any setting is checked.
+# Option names are spelled out in full, so `--n` for `--n-max` is refused.
+BAD_ARGV = {
+    "no command": [],
+    "unknown command": ["bogus", "--n-max", "2"],
+    "option before the command": ["--json", "bernoulli"],
+    "unknown option": ["bernoulli", "--prime", "3"],
+    "missing value": ["bernoulli", "--n-max"],
+    "non-integer value": ["bernoulli", "--n-max", "2.5"],
+    "empty value": ["bernoulli", "--n-max="],
+    "abbreviation": ["bernoulli", "--n", "4"],
+    "stray argument": ["bernoulli", "7"],
+    "value on a flag": ["bernoulli", "--json=1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_ARGV.values()), ids=list(BAD_ARGV))
+def test_bad_argv_exits_two_with_one_error_line(argv):
+    code, out, err = _run_main(argv)  # a SystemExit would escape and fail the test
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # -- exit codes through main ------------------------------------------------
@@ -375,6 +437,27 @@ def test_bockstein_runs_one_check_per_model(monkeypatch, capsys):
         ("bockstein-page-summary", {"p": 31, "deg": 2, "kind": kind, "page": 2})
         for kind in ("type1", "type2")
     ]
+
+
+def test_rank_zero_fails_the_dimension_and_summary_rows(monkeypatch, capsys):
+    # with every rank 0 each page's homology is its whole chain group, so
+    # the dimension rows disagree with the closed form; each FAIL must come
+    # from its own two dimensions and be counted by its page's summary row
+    monkeypatch.setattr(bockstein, "rank_mod_p", lambda matrix, p: 0)
+    assert main(["bockstein", "--prime", "3", "--max-deg", "60", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = {}
+    for row in rows:
+        if row["check_name"] == "bockstein-page-dimension":
+            assert row["status"] == (PASS if row["lhs"] == row["rhs"] else FAIL)
+            page = (row["parameters"]["kind"], row["parameters"]["page"])
+            failed[page] = failed.get(page, 0) + (row["status"] == FAIL)
+    summaries = [row for row in rows if row["check_name"] == "bockstein-page-summary"]
+    for row in summaries:
+        count = failed.get((row["parameters"]["kind"], row["parameters"]["page"]), 0)
+        assert (row["lhs"], row["status"]) == (f"{count} mismatches", PASS if count == 0 else FAIL)
+    assert sum(failed.values()) > 0
+    assert {row["status"] for row in summaries} >= {FAIL}
 
 
 def _numerator_times_p(p, num_denom=exact.num_denom):
@@ -910,6 +993,22 @@ def test_all_json_matches_golden(capsys, tmp_path, argv, config, sha256, rows, s
     assert captured == (sha256, rows, size), f"captured {entry}"
 
 
+def _row_text(row) -> str:
+    """The text of a row inside the JSON array, between its separators."""
+    return json.dumps([row._asdict()], sort_keys=True, indent=2)[2:-2]
+
+
+def _row_of_length(length: int) -> CheckReport:
+    row = CheckReport("c", {"n": 1}, PASS, "", "", (), 0)
+    return row._replace(lhs="x" * (length - len(_row_text(row))))
+
+
+# Rows whose texts add up to exactly one piece of the JSON writer.
+_ROWS_PER_PIECE = 64
+_PIECE_ROW = _row_of_length(cli._PIECE // _ROWS_PER_PIECE)
+assert len(_row_text(_PIECE_ROW)) * _ROWS_PER_PIECE == cli._PIECE
+
+
 # every string field also draws quotes, backslashes, control characters,
 # non-ASCII, U+2028 and lone surrogates
 _JSON_TEXT = st.text(
@@ -956,7 +1055,7 @@ _REPORTS = st.builds(
     ]
 )
 # one check name and parameter name holding an int in one row and a str in
-# the next, no parameter and a single one
+# the next, and the reverse, no parameter and a single one
 @example(
     [
         CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
@@ -965,9 +1064,53 @@ _REPORTS = st.builds(
         CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
     ]
 )
+@example(
+    [
+        CheckReport("e", {"n": "1", "x": 2}, PASS, "", "", (), 0),
+        CheckReport("e", {"n": 1, "x": 2}, PASS, "", "", (), 0),
+    ]
+)
+# the array in pieces at the boundaries: no row, one row, exactly one piece
+# and one piece plus one row
+@example([])
+@example([_PIECE_ROW])
+@example([_PIECE_ROW] * _ROWS_PER_PIECE)
+@example([_PIECE_ROW] * (_ROWS_PER_PIECE + 1))
 def test_json_array_is_json_dumps_with_indent(rows):
-    expected = json.dumps([row._asdict() for row in rows], sort_keys=True, indent=2)
-    assert cli._json_array(rows) == expected
+    expected = json.dumps([row._asdict() for row in rows], sort_keys=True, indent=2) + "\n"
+    for piece in (1, 200, cli._PIECE):
+        pieces = list(cli._json_pieces(rows, piece))
+        assert "".join(pieces) + "\n" == expected
+        # every piece but the last is whole rows of at least `piece` characters
+        assert all(len(text) >= piece for text in pieces[:-1])
+        assert len(pieces) <= 2 + len(expected) // piece
+
+
+def test_json_array_pieces_fall_on_row_boundaries():
+    rows = [_PIECE_ROW] * (_ROWS_PER_PIECE + 1)
+    pieces = list(cli._json_pieces(rows[:_ROWS_PER_PIECE]))
+    assert [len(text) for text in pieces] == [2 + cli._PIECE + 2 * (_ROWS_PER_PIECE - 1), 2]
+    assert pieces[1] == "\n]"
+    pieces = list(cli._json_pieces(rows))
+    assert len(pieces) == 2
+    assert pieces[1] == ",\n" + _row_text(_PIECE_ROW) + "\n]"
+
+
+def test_json_output_is_written_in_large_pieces(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["bockstein", "--prime", "31", "--pages", "3", "--json"]) == 0
+    assert writes[-1] == "\n"
+    total = sum(map(len, writes))
+    assert total > 10 * cli._PIECE
+    # with PYTHONUNBUFFERED each write is a system call
+    assert len(writes) <= total // cli._PIECE + 2
+    assert all(len(text) >= cli._PIECE for text in writes[:-2])
 
 
 def test_json_keys_are_sorted_in_output(capsys):

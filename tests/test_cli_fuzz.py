@@ -22,8 +22,8 @@ from kverify.cli import main
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
-# Strings that argparse or the option parsers must reject; "\udcff" is how
-# Python hands a program an argv byte that is not UTF-8.
+# Strings that the argv parser or the settings check must reject; "\udcff"
+# is how Python hands a program an argv byte that is not UTF-8.
 BAD_TEXT = ["", "x", "2.5", "1e3", "true", "0x10", "-", "--json", "\udcff", "3\udcfe"]
 
 # Largest value each option may take, so that a valid case stays small;
@@ -63,12 +63,10 @@ def argvs(draw):
 
 
 def _run(argv):
+    # main returns every exit code; a SystemExit escaping it fails the test
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_info:  # argparse rejects the argv
-            code = exit_info.code
+        code = main(argv)
     return code, err.getvalue()
 
 

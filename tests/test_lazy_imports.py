@@ -33,6 +33,10 @@ def _fresh(script: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# Modules no command loads: dataclasses (and with it inspect, ast, dis and
+# tokenize), and argparse with the gettext and locale it loads.
+_HEAVY = ("argparse", "dataclasses", "gettext", "locale")
+
 # The json package is imported only after the run, to print the result.
 _LOADED_BY = """
     import contextlib, io, sys
@@ -40,23 +44,25 @@ _LOADED_BY = """
     with contextlib.redirect_stdout(io.StringIO()):
         code = main({argv!r})
     loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("kverify", "json"))
+    heavy = [name for name in {heavy!r} if name in sys.modules]
     import json
-    print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
+    print(json.dumps([code, loaded, heavy]))
 """
 
 _BARE = """
     import sys
     loaded = sorted(name for name in sys.modules if name.split(".")[0] == "json")
+    heavy = [name for name in {heavy!r} if name in sys.modules]
     import json
-    print(json.dumps(loaded))
+    print(json.dumps([loaded, heavy]))
 """
 
 _BERNOULLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.series"]
 _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 
 
-# No command loads dataclasses (and with it inspect, ast, dis and tokenize),
-# and only `all`, which reads its --config file, loads the json package.
+# No command loads a module of _HEAVY, and only `all`, which reads its
+# --config file, loads the json package.
 @pytest.mark.parametrize(
     "argv,loaded",
     [
@@ -77,9 +83,10 @@ def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, load
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"primes": [2, 3], "n_max": 2, "truncation": 4}))
         argv = [str(config) if arg == "-" else arg for arg in argv]
-    # the json modules a bare interpreter loads at start-up are no command's doing
-    bare = _fresh(_BARE)
-    assert _fresh(_LOADED_BY.format(argv=argv)) == [0, sorted(set(loaded) | set(bare)), False]
+    # the modules a bare interpreter loads at start-up are no command's doing
+    bare_json, bare_heavy = _fresh(_BARE.format(heavy=_HEAVY))
+    run = _fresh(_LOADED_BY.format(argv=argv, heavy=_HEAVY))
+    assert run == [0, sorted(set(loaded) | set(bare_json)), bare_heavy]
 
 
 def test_package_names_resolve_lazily_to_their_home_modules():
