@@ -35,8 +35,10 @@ from . import exact
 
 
 class ModelKind(Enum):
-    TYPE1 = "polynomial-with-exterior-partner"
-    TYPE2 = "exterior-over-polynomial"
+    """The two model shapes; a value is the `kind` parameter of the report rows."""
+
+    TYPE1 = "type1"  # polynomial generator with its exterior partner below
+    TYPE2 = "type2"  # exterior generator over the polynomial one below it
 
 
 class Monomial(NamedTuple):

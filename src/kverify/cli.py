@@ -22,6 +22,10 @@ Every command shares the exact module; each suite imports the other modules
 it runs when it starts, so `bernoulli` loads only exact and series, and
 `bockstein` adds only the page engine.  The JSON output takes only the C
 string encoder, so no command but `all --config` imports the json package.
+
+Each text a row reports has one source: str(KClass) writes a class's
+coefficients, a ModelKind's value is a bockstein row's `kind`, and the keys
+of an `all` config are the names of its settings in COMMANDS.
 """
 
 from __future__ import annotations
@@ -64,20 +68,16 @@ DEFAULTS = {
 
 # (minimum, ceiling) of each setting; an entry of `primes` is a `prime`.
 # The ceilings bound the inputs whose cost grows without bound, each above
-# every documented use (one fresh process each, 2-vCPU host, Python 3.11.7):
-# is_prime is trial division and the akita certificate needs B_p, a series
-# of order 2p (0.3-0.4 s at p = 199), r_line_conjugate inverts a row of
-# binomial coefficients C(k, j), whose entries grow with k, at each window
-# (`eigenvalue --prime 5 --k 999 --n-max 200` 11-13 s, `theorem-a` at the
-# same inputs 5.5-6.5 s), `bernoulli`, `theorem-a` and `eigenvalue` at
-# `--n-max 200` take 0.3-0.45, 0.6-1.0 and 0.9-1.25 s (`theorem-a --prime
-# 199` 0.6-0.8 s; the host's speed varies by about 1.6x), `artin-hasse
-# --truncation 128` 0.3-0.45 s (0.45-0.6 s at --prime 199) and `bockstein
-# --prime 31 --pages 64` 0.1-0.17 s.  max_deg bounds the page engine's
-# degrees, given or its default 2 deg p^3 (119,164 in `bockstein --prime
-# 31`), and deg cannot exceed it; the engine walks a few runs per page, but
-# the report has a row per degree of nonzero homology, so `bockstein --prime
-# 3 --max-deg 250000 --pages 64` (125,242 rows, 33 MB) takes 0.85-1.5 s.
+# every documented use: is_prime is trial division and the akita
+# certificate needs B_p, a series of order 2p; r_line_conjugate inverts a
+# row of binomial coefficients C(k, j), whose entries grow with k, at each
+# window; `bernoulli`, `theorem-a` and `eigenvalue` grow with n_max,
+# `artin-hasse` with the truncation and `bockstein` with the pages; max_deg
+# bounds the page engine's degrees, given or its default 2 deg p^3 (119,164
+# in `bockstein --prime 31`), and deg cannot exceed it; the engine walks a
+# few runs per page, but the report has a row per degree of nonzero
+# homology.  The times of the runs at the ceilings are in README's table of
+# input ceilings, measured by tools/measure.py.
 LIMITS = {
     "prime": (2, 200),
     "k": (3, 1000),
@@ -238,15 +238,6 @@ def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
         else:
             ordered += group
     return ordered
-
-
-def _coeff_string(f) -> str:
-    # f is a KClass; x/den in lowest terms is (x/g)/(den/g) for g = gcd(x, den)
-    parts = []
-    for x in f.nums:
-        g = gcd(x, f.den)
-        parts.append(f"{x // g}/{f.den // g}")
-    return "[" + ", ".join(parts) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,7 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
         lhs = artin_hasse_log(p, x)
         logarithm = log_one_minus(x)
         rhs = logarithm - psi(p, logarithm) / p
-        return _coeff_string(lhs), _coeff_string(rhs), ()
+        return str(lhs), str(rhs), ()
 
     rows = []
     line = line_power(1, truncation)
@@ -462,8 +453,8 @@ def cmd_artin_hasse(p: int, truncation: int) -> list[CheckReport]:
                 "double-loop-log-form",
                 {"p": p, "N": truncation, "f": label},
                 lambda f=f: (
-                    _coeff_string(l_double_loop(p, f)),
-                    _coeff_string(f - psi(p, f)),
+                    str(l_double_loop(p, f)),
+                    str(f - psi(p, f)),
                     (),
                 ),
                 notes=(_SIGN_NOTE,),
@@ -492,8 +483,9 @@ def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[Che
 
     max_deg = max_deg or _default_max_deg(deg, p)
     rows = []
-    for kind, kind_label in ((ModelKind.TYPE1, "type1"), (ModelKind.TYPE2, "type2")):
-        params = {"p": p, "deg": deg, "kind": kind_label}
+    for kind in ModelKind:
+        label = kind.value  # read once: Enum.value is a Python-level property
+        params = {"p": p, "deg": deg, "kind": label}
         found = []
 
         def page_two():
@@ -518,7 +510,7 @@ def cmd_bockstein(p: int, deg: int, pages: int, max_deg: int | None) -> list[Che
             "bockstein-page-dimension",
             (
                 (
-                    {"p": p, "deg": deg, "kind": kind_label, "page": page, "degree": degree},
+                    {"p": p, "deg": deg, "kind": label, "page": page, "degree": degree},
                     str(computed),
                     str(predicted),
                 )
@@ -658,8 +650,7 @@ def parse_argv(argv: list[str]) -> tuple[str, dict, bool] | None:
 
 def _config_settings(path: str | None, names) -> dict:
     """The settings of `all`: the defaults, overridden by the flat JSON
-    object in the file at path, where `prime` stands for a one-prime
-    `primes`.  Only check_settings judges the values."""
+    object in the file at path.  Only check_settings judges the values."""
     config = {}
     if path is not None:
         import json  # the one JSON input
@@ -671,10 +662,6 @@ def _config_settings(path: str | None, names) -> dict:
             raise UsageError(f"cannot read config {path}: {err}") from err
         if not isinstance(config, dict):
             raise UsageError("config must be a flat JSON object")
-    if "prime" in config:
-        if "primes" in config:
-            raise UsageError("configuration keys 'prime' and 'primes' are exclusive")
-        config["primes"] = [config.pop("prime")]
     for key in config:
         if key not in names:
             raise UsageError(f"unknown configuration key {key!r}")

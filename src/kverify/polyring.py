@@ -14,11 +14,13 @@ popcount(n) - 1 further products, and no product with one, unless it has
 vanished: a class of u-adic valuation v >= 1 (its first nonzero coefficient
 is at u^v) has f**n = 0 once v n > N, and that power is the zero class, with
 no product.  f**0 is the unit; the model takes no inverse, so a negative n
-is refused.
+is refused.  str(f) is the text the report rows compare: the coefficients
+as "[x/d, ...]", each in lowest terms, read off the integer numerators.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
 chern hands back rational KClass values whose coefficients are read in e.
+Of the package, the module imports only series, for the convolution.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import series
-from .exact import frac_str
 
 
 class TruncationMismatch(ValueError):
@@ -209,9 +210,17 @@ class KClass:
             return hash((self.truncation, self.den, self.nums))
         return hash(Fraction(self.nums[0], self.den))  # a constant hashes like its value
 
+    def __str__(self):
+        """The coefficients as "[x/d, ...]", each in lowest terms; zero is 0/1."""
+        den = self.den
+        parts = []
+        for x in self.nums:
+            g = gcd(x, den)  # x/den in lowest terms is (x/g)/(den/g)
+            parts.append(f"{x // g}/{den // g}")
+        return "[" + ", ".join(parts) + "]"
+
     def __repr__(self):
-        body = ", ".join(frac_str(c) for c in self.coeffs)
-        return f"KClass([{body}], N={self.truncation})"
+        return f"KClass({self}, N={self.truncation})"
 
 
 def line_power(a: int, truncation: int) -> KClass:

@@ -94,7 +94,6 @@ CONFIG_VALUES = {
     "primes": st.one_of(
         st.sampled_from([[3], [2, 3], [3, 2]]), st.lists(PRIME_ENTRY, max_size=3), PRIME_ENTRY
     ),
-    "prime": st.one_of(st.sampled_from([2, 3]), PRIME_ENTRY),
     "n_max": st.one_of(st.integers(-10**6, 8), ANY_VALUE),
     "truncation": st.one_of(st.integers(-10**6, 10), ANY_VALUE),
     "deg": st.sampled_from([2, 0, -2, 3, 2.0, "2", True, None]),
@@ -104,12 +103,10 @@ CONFIG_VALUES = {
 
 @st.composite
 def config_bodies(draw):
-    """Bytes of a config file.  Every object names primes (or a prime), so
-    the default primes 5 and 7, whose page engines run far past degree
-    120, are never used."""
-    config = {}
-    for key in draw(st.sampled_from([["primes"], ["prime"], ["primes"], ["prime", "primes"]])):
-        config[key] = draw(CONFIG_VALUES[key])
+    """Bytes of a config file.  Every object names primes, so the default
+    primes 5 and 7, whose page engines run far past degree 120, are never
+    used."""
+    config = {"primes": draw(CONFIG_VALUES["primes"])}
     for key in ("n_max", "truncation", "deg", "pages"):
         if draw(st.booleans()):
             config[key] = draw(CONFIG_VALUES[key])

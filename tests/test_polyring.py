@@ -178,6 +178,15 @@ def test_coefficient_accessors():
     assert len(f.coeffs) == 5
 
 
+def test_str_writes_each_coefficient_in_lowest_terms():
+    # one denominator 6 for all five coefficients; each is reduced on its own
+    f = KClass([Fraction(1, 2), 0, Fraction(-2, 3), 3, Fraction(-5, 6)], 4)
+    assert f.den == 6
+    assert str(f) == "[1/2, 0/1, -2/3, 3/1, -5/6]"
+    assert str(KClass.zero(2)) == "[0/1, 0/1, 0/1]"
+    assert repr(f) == "KClass([1/2, 0/1, -2/3, 3/1, -5/6], N=4)"
+
+
 # -- p-locality ------------------------------------------------------------
 
 
