@@ -50,22 +50,16 @@ from .kops import r_virtual_conjugate_minus_one, rho_line
 from .polyring import KClass, line_power
 
 
-def ch(f: KClass, order: int | None = None) -> KClass:
+def ch(f: KClass) -> KClass:
     """Chern character: substitute u -> exp(e) - 1, reading the surjection
     rows s_eval reads: e^m takes the numerators' dot product with
     _surjections(m) times order!/m!, over den * order!.  The dot products
     stop at the last nonzero numerator, so a polynomial costs its degree.
 
-    Only orders up to the K-theory truncation are geometrically determined,
-    so asking beyond it is an error rather than a silent extrapolation.
+    The order is the K-theory truncation: only the orders up to it are
+    geometrically determined, and to cut lower, cut f.
     """
-    if order is None:
-        order = f.truncation
-    if order > f.truncation:
-        raise ValueError(
-            f"order {order} exceeds truncation {f.truncation}; the discarded "
-            f"u-powers would contribute"
-        )
+    order = f.truncation
     nums = f.nums[: 1 + max((j for j, c in enumerate(f.nums) if c), default=0)]
     top = factorial(order)
     out = [sum(map(mul, nums, _surjections(m))) * (top // factorial(m)) for m in range(order + 1)]
@@ -182,7 +176,7 @@ def bh_psi_relation_check(k: int, order: int) -> SeriesCheck:
     if order < 1:
         raise ValueError("order must be positive")
     lhs = psi_H(k, bh(order))
-    rhs = ch(rho_line(k, 1, order), order) * bh(order)
+    rhs = ch(rho_line(k, 1, order)) * bh(order)
     return _compare(order, lhs.coeffs, rhs.coeffs)
 
 

@@ -23,6 +23,12 @@ it runs when it starts, so `bernoulli` loads only exact and series, and
 `bockstein` adds only the page engine.  The JSON output takes only the C
 string encoder, so no command but `all --config` imports the json package.
 
+Run as the program (`python -m kverify.cli` or the `kverify` script), main
+gets no argv and reads sys.argv.  It first calls gc.freeze(): what is
+loaded by then lives until exit, so the collector need not scan it again,
+neither in the run's own collections nor in the full collections at exit.
+An in-process call, main(argv), leaves the collector as it finds it.
+
 Each text a row reports has one source: str(KClass) writes a class's
 coefficients, a ModelKind's value is a bockstein row's `kind`, and the keys
 of an `all` config are the names of its settings in COMMANDS.
@@ -30,6 +36,7 @@ of an `all` config are the names of its settings in COMMANDS.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from _json import encode_basestring_ascii
@@ -788,8 +795,11 @@ def _json_layout(name: str, parameters: dict, status: str):
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        parsed = parse_argv(sys.argv[1:] if argv is None else argv)
+        parsed = parse_argv(argv)
         if parsed is None:
             sys.stdout.write(_usage())
             return 0

@@ -22,14 +22,20 @@ m, so ``bernoulli(n)`` extends that expansion to exactly order 2n, whatever
 order the indices are asked in, and a run up to n computes 2n + 1
 coefficients once.  ``bernoulli_recursive(n)`` extends one record of the
 signed B_j with the recurrence as far as index 2n.  The two routes
-share no arithmetic: the recurrence never touches ``series``.
+share no arithmetic: the recurrence never touches ``series``, and the
+module imports ``series`` only when the first expansion starts, so a
+caller of the recurrence or the valuations alone never loads it.
 
 Both routes sum integers.  The series route gets this from ``series.inv``;
 the recurrence writes the same idiom out on its own: its record is the
 numerators of B_0, B_1, ... over one common denominator, it sums each new
 entry's binomial terms as one integer, makes one Fraction of it, and
 rescales the numerators when that entry widens the common denominator.
-A Fraction of the record is built only for the index asked for.
+The recurrence steps over even indices only: the signed B_j vanish at odd
+j from j = 3 on, so the record takes a 0 there without a sum.  A Fraction
+of the record is built only for the index asked for.  Each route builds the
+B_n it returns, and the roundtrip each coefficient it rebuilds, as one
+Fraction, normalized once.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ from itertools import chain, count, islice, repeat
 from math import comb, factorial, gcd
 from operator import add
 from typing import Iterator, NamedTuple
-
-from . import series
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -89,6 +93,8 @@ def vp(q: Fraction | int, p: int) -> int:
 def _series_coefficients() -> tuple[list[Fraction], Iterator[Fraction]]:
     """The process's one expansion of z/(exp(z) - 1) + z/2: the coefficients
     found so far, and the stream that continues them."""
+    from . import series
+
     inverse = series.inv(Fraction(1, factorial(m + 1)) for m in count())
     return [], map(add, inverse, chain((0, Fraction(1, 2)), repeat(0)))
 
@@ -106,7 +112,7 @@ def bernoulli(n: int) -> Fraction:
     if n < 1:
         raise ValueError("Bernoulli index starts at 1")
     c = _expansion(2 * n)[2 * n]
-    return (-1) ** (n - 1) * c * factorial(2 * n)
+    return Fraction((-1) ** (n - 1) * c.numerator * factorial(2 * n), c.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +131,9 @@ def bernoulli_recursive(n: int) -> Fraction:
     m = 2 * n
     nums, den = _recurrence()
     for j in range(len(nums), m + 1):
+        if j % 2 and j > 1:
+            nums.append(0)
+            continue
         s = sum(comb(j + 1, i) * x for i, x in enumerate(nums) if x)
         q = Fraction(-s, den[0] * (j + 1))
         widen = q.denominator // gcd(den[0], q.denominator)
@@ -132,7 +141,7 @@ def bernoulli_recursive(n: int) -> Fraction:
             nums[:] = [x * widen for x in nums]
             den[0] *= widen
         nums.append(q.numerator * (den[0] // q.denominator))
-    return (-1) ** (n - 1) * Fraction(nums[m], den[0])
+    return Fraction((-1) ** (n - 1) * nums[m], den[0])
 
 
 def generating_series_roundtrip(max_index: int) -> bool:
@@ -146,7 +155,8 @@ def generating_series_roundtrip(max_index: int) -> bool:
     rebuilt = [Fraction(0)] * (order + 1)
     rebuilt[0] = Fraction(1)
     for n in range(1, max_index + 1):
-        rebuilt[2 * n] = (-1) ** (n - 1) * bernoulli_recursive(n) / factorial(2 * n)
+        b = bernoulli_recursive(n)
+        rebuilt[2 * n] = Fraction((-1) ** (n - 1) * b.numerator, b.denominator * factorial(2 * n))
     return rebuilt == direct
 
 

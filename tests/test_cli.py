@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import MODULES, clear_caches
 from kverify import bockstein, chern, cli, dyerlashof, exact, kops, series
 from kverify.cli import (
     ERROR,
@@ -730,17 +731,6 @@ def test_prime_is_not_a_configuration_key(tmp_path, capsys):
 
 
 # -- reachability -----------------------------------------------------------
-
-MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "cli")
-
-
-def clear_caches():
-    """Empty every lru_cache of the modules."""
-    for module_name in MODULES:
-        for obj in vars(importlib.import_module(f"kverify.{module_name}")).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
 
 # Entry points that the runs below leave uncalled, each with the reason it stays.
 ALLOWED_UNREACHED = {

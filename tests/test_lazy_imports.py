@@ -1,4 +1,5 @@
-"""What each command loads, and the lazily resolved package API.
+"""What each command loads, the lazily resolved package API, and what a run
+as the program does to the collector.
 
 Every check runs in a fresh interpreter, so that nothing this test session
 has already imported can hide a module that a command loads."""
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import MODULES
 
-MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "cli")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _fresh(script: str):
@@ -57,7 +58,7 @@ _BARE = """
     print(json.dumps([loaded, heavy]))
 """
 
-_BERNOULLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.series"]
+_CLI = ["kverify", "kverify.cli", "kverify.exact"]
 _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 
 
@@ -66,11 +67,8 @@ _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 @pytest.mark.parametrize(
     "argv,loaded",
     [
-        (["bernoulli", "--n-max", "2", "--json"], _BERNOULLI),
-        (
-            ["bockstein", "--prime", "3", "--max-deg", "60", "--json"],
-            sorted(_BERNOULLI + ["kverify.bockstein"]),
-        ),
+        (["bernoulli", "--n-max", "2", "--json"], _CLI + ["kverify.series"]),
+        (["bockstein", "--prime", "3", "--max-deg", "60", "--json"], _CLI + ["kverify.bockstein"]),
         (
             ["all", "--config", "-", "--json"],
             sorted(_JSON + ["kverify"] + [f"kverify.{name}" for name in MODULES]),
@@ -87,6 +85,29 @@ def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, load
     bare_json, bare_heavy = _fresh(_BARE.format(heavy=_HEAVY))
     run = _fresh(_LOADED_BY.format(argv=argv, heavy=_HEAVY))
     assert run == [0, sorted(set(loaded) | set(bare_json)), bare_heavy]
+
+
+def test_only_the_program_freezes_the_loaded_heap():
+    # main() reads sys.argv and freezes what is loaded, which lives until
+    # exit; main(argv), as a host process calls it, leaves the collector be
+    checks = _fresh(
+        """
+        import contextlib, gc, io, json, sys
+        from kverify.cli import main
+        checks = {"before": gc.get_freeze_count()}
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["bernoulli", "--n-max", "2"])
+            checks["in_process"] = [code, gc.get_freeze_count()]
+            sys.argv = ["kverify", "bernoulli", "--n-max", "2"]
+            code = main()
+            checks["program"] = [code, gc.get_freeze_count()]
+        print(json.dumps(checks))
+        """
+    )
+    assert checks["before"] == 0
+    assert checks["in_process"] == [0, 0]
+    code, frozen = checks["program"]
+    assert code == 0 and frozen > 0
 
 
 def test_package_names_resolve_lazily_to_their_home_modules():

@@ -38,10 +38,10 @@ import json
 
 import pytest
 
+from conftest import MODULES, clear_caches
 from kverify import exact, kops, series
 from kverify.cli import ERROR, FAIL, PASS, main
 from kverify.polyring import KClass
-from test_cli import MODULES, clear_caches
 
 
 

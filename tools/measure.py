@@ -5,9 +5,11 @@
 Each case of CASES runs ROUNDS times as a fresh ``--json`` process against
 this checkout's ``src``, with the cases in alternating order (forward, then
 backward), next to a bare interpreter (``python3 -c pass``) for scale.  A
-case runs through a ``-c`` wrapper around ``kverify.cli.main`` that reads
-its own peak RSS with ``resource.getrusage(RUSAGE_SELF)`` at exit, so the
-figure is the CLI's alone, not a high-water mark inherited across exec.
+case runs through a ``-c`` wrapper that calls ``kverify.cli.main()`` as the
+``kverify`` script does, so it reads its argv from ``sys.argv`` and runs in
+program mode, and then reads its own peak RSS with
+``resource.getrusage(RUSAGE_SELF)`` at exit, so the figure is the CLI's
+alone, not a high-water mark inherited across exec.
 
 The script prints min, median and max wall time and the peak RSS of each
 case, then the timed end of each "why the ceiling" cell of README's input
@@ -48,7 +50,7 @@ BARE = "python3 -c pass"
 _CHILD = """\
 import sys
 from kverify.cli import main
-code = main(sys.argv[1:])
+code = main()
 import resource
 sys.stdout.flush()
 sys.stderr.write("peak_rss_kb %d\\n" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
