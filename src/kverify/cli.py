@@ -11,12 +11,18 @@ command takes (`all` takes --config PATH instead).  Names are spelled out
 in full and a repeated option keeps its last value.  parse_argv reads it
 straight from the table, and every bad argv is a UsageError.
 
+Every row of one check name has the same parameter names, each always an
+int or always a str.  So rows are ordered by check_name, then by their
+parameter values in report order (sorted by name), integers numerically,
+and each check name gets one parameter order and one JSON layout per status.
+
 JSON mode prints a single top-level array of row objects in the layout of
 json.dumps(rows, sort_keys=True, indent=2), written in pieces of about 64
 KB, so output is byte-stable for fixed inputs apart from the elapsed_ms
-timing field.  Rows are ordered by (check_name, parameters).  Exit status:
-0 when every row is PASS, 1 when any row is FAIL or ERROR, 2 for usage or
-config problems; main returns it and never raises SystemExit.
+timing field.  Exit status: 0 when every row is PASS, 1 when any row is
+FAIL or ERROR, 2 for usage or config problems, and 141 (128 + SIGPIPE) when
+the program's reader closes stdout early; main returns it and never raises
+SystemExit.
 
 Every command shares the exact module; each suite imports the other modules
 it runs when it starts, so `bernoulli` loads only exact and series, and
@@ -27,7 +33,10 @@ Run as the program (`python -m kverify.cli` or the `kverify` script), main
 gets no argv and reads sys.argv.  It first calls gc.freeze(): what is
 loaded by then lives until exit, so the collector need not scan it again,
 neither in the run's own collections nor in the full collections at exit.
-An in-process call, main(argv), leaves the collector as it finds it.
+A reader that closes stdout early ends it with status 141 and no
+traceback: stdout is pointed at os.devnull, so the flush at exit cannot
+fail again.  An in-process call, main(argv),
+leaves the collector as it finds it and lets BrokenPipeError through.
 
 Each text a row reports has one source: str(KClass) writes a class's
 coefficients, a ModelKind's value is a bockstein row's `kind`, and the keys
@@ -37,6 +46,7 @@ of an `all` config are the names of its settings in COMMANDS.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import time
 from _json import encode_basestring_ascii
@@ -207,9 +217,9 @@ def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckRep
 
 
 def _report_order(parameters: dict):
-    """The names of a row's parameters in report order (sorted), and a
-    function from the parameters of a row with those names to their values
-    in that order, as a tuple.  Each report computes it once per row shape."""
+    """The names of a check's parameters in report order (sorted), and a
+    function from the parameters of one of its rows to their values in that
+    order, as a tuple.  Each report computes it once per check name."""
     order = tuple(sorted(parameters))
     if len(order) > 1:
         return order, itemgetter(*order)
@@ -223,27 +233,18 @@ _PARAMETERS = itemgetter(1)
 def sort_reports(rows: list[CheckReport]) -> list[CheckReport]:
     """The rows ordered by (check_name, sorted(parameters.items())).
 
-    Suites emit each check name's rows in runs, and every row of a check
-    name has the same parameter names, each always an int or always a str.
-    So the rows are gathered per check name in one step a run, and each
-    check's rows sort on a C-level key: the tuple of their parameter values
-    in report order, an itemgetter per check, under which integers sort
-    numerically.  A check whose rows differ in their parameter names sorts
-    on sorted(parameters.items()) itself."""
+    Suites emit each check name's rows in runs, so the rows are gathered per
+    check name in one step a run, and each check's rows sort on the tuple of
+    their parameter values in report order."""
     checks = {}
     for name, run in groupby(rows, _CHECK_NAME):
         checks.setdefault(name, []).extend(run)
     ordered = []
     for name in sorted(checks):
         group = checks[name]
-        parameters = list(map(_PARAMETERS, group))
-        if len(set(map(tuple, parameters))) > 1:
-            ordered += sorted(group, key=lambda row: sorted(row.parameters.items()))
-        elif parameters[0]:
-            keys = list(map(itemgetter(*sorted(parameters[0])), parameters))
-            ordered += map(group.__getitem__, sorted(range(len(group)), key=keys.__getitem__))
-        else:
-            ordered += group
+        values = _report_order(group[0].parameters)[1]
+        keys = list(map(values, map(_PARAMETERS, group)))
+        ordered += map(group.__getitem__, sorted(range(len(group)), key=keys.__getitem__))
     return ordered
 
 
@@ -686,15 +687,13 @@ def _rows_for(command: str, values: dict) -> list[CheckReport]:
 
 
 def _print_table(rows: list[CheckReport]) -> None:
-    shapes = {}
+    orders = {}
     for row in rows:
-        parameters = row.parameters
-        shape = tuple(parameters)
-        entry = shapes.get(shape)
+        entry = orders.get(row.check_name)
         if entry is None:
-            entry = shapes[shape] = _report_order(parameters)
+            entry = orders[row.check_name] = _report_order(row.parameters)
         order, values = entry
-        params = " ".join(map("{}={}".format, order, values(parameters)))
+        params = " ".join(map("{}={}".format, order, values(row.parameters)))
         line = f"{row.status:5}  {row.check_name:28} {params}"
         if row.status != PASS:
             line += f"  lhs={row.lhs} rhs={row.rhs}"
@@ -715,50 +714,38 @@ def _json_pieces(rows: list[CheckReport], piece: int = _PIECE):
     json.dumps takes its pure-Python encoder whenever indent is set; this
     takes the C string encoder that json.dumps calls under ensure_ascii.
 
-    Each row shape (check name, status and parameter names) gets one
-    %-format layout, so a row encodes only lhs, rhs, its str parameter
-    values and elapsed_ms; a notes block is encoded once per notes tuple.
-    A layout also fixes which parameter values are strs, so a row whose
-    values differ in type from those of the row its layout was made from
-    fails to format with TypeError, and gets a layout of its own."""
+    Each (check name, status) gets one %-format layout, so a row encodes
+    only lhs, rhs, its str parameter values and elapsed_ms; a notes block
+    is encoded once per notes tuple."""
     if not rows:
         yield "[]"
         return
+    enc = encode_basestring_ascii
     layouts = {}
     blocks = {}
     out = []
     size = 0
     lead = "[\n"
     for name, parameters, status, lhs, rhs, notes, elapsed_ms in rows:
-        shape = (name, status, *parameters)
-        layout = layouts.get(shape)
+        layout = layouts.get((name, status))
         if layout is None:
-            layout = layouts[shape] = _json_layout(name, parameters, status)
+            layout = layouts[name, status] = _json_layout(name, parameters, status)
+        form, read, strings = layout
         block = blocks.get(notes)
         if block is None:
-            block = blocks[notes] = _json_items(map(encode_basestring_ascii, notes))
-        try:
-            text = _json_row(layout, parameters, lhs, rhs, block, elapsed_ms)
-        except TypeError:
-            layout = _json_layout(name, parameters, status)
-            text = _json_row(layout, parameters, lhs, rhs, block, elapsed_ms)
+            block = blocks[notes] = _json_items(map(enc, notes))
+        values = read(parameters)
+        if strings:
+            values = list(values)
+            for i in strings:
+                values[i] = enc(values[i])
+        text = form % (elapsed_ms, enc(lhs), block, *values, enc(rhs))
         out.append(text)
         size += len(text)
         if size >= piece:
             yield lead + ",\n".join(out)
             lead, out, size = ",\n", [], 0
     yield (lead + ",\n".join(out) if out else "") + "\n]"
-
-
-def _json_row(layout, parameters: dict, lhs: str, rhs: str, block: str, elapsed_ms: int) -> str:
-    enc = encode_basestring_ascii
-    text, values, strings = layout
-    values = values(parameters)
-    if strings:
-        values = list(values)
-        for i in strings:
-            values[i] = enc(values[i])
-    return text % (elapsed_ms, enc(lhs), block, *values, enc(rhs))
 
 
 def _json_items(items) -> str:
@@ -768,11 +755,10 @@ def _json_items(items) -> str:
 
 
 def _json_layout(name: str, parameters: dict, status: str):
-    """The %-format text of one row shape, the function that reads its
-    parameter values in report order, and the positions of the str values
-    among them.  The slots are elapsed_ms, lhs, the notes block, the
-    parameter values in that order and rhs; a parameter value is an int or
-    a str."""
+    """The %-format text of a check's rows of one status, the function that
+    reads their parameter values in report order, and the positions of the
+    str values among them.  The slots are elapsed_ms, lhs, the notes block,
+    the parameter values in that order and rhs."""
     order, values = _report_order(parameters)
     strings = tuple(i for i, k in enumerate(order) if isinstance(parameters[k], str))
 
@@ -795,7 +781,8 @@ def _json_layout(name: str, parameters: dict, status: str):
 
 
 def main(argv=None) -> int:
-    if argv is None:
+    program = argv is None
+    if program:
         gc.freeze()
         argv = sys.argv[1:]
     try:
@@ -808,14 +795,22 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if as_json:
-        # large pieces: with PYTHONUNBUFFERED each write is a system call
-        write = sys.stdout.write
-        for piece in _json_pieces(rows):
-            write(piece)
-        write("\n")
-    else:
-        _print_table(rows)
+    try:
+        if as_json:
+            # large pieces: with PYTHONUNBUFFERED each write is a system call
+            write = sys.stdout.write
+            for piece in _json_pieces(rows):
+                write(piece)
+            write("\n")
+        else:
+            _print_table(rows)
+        if program:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        if not program:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0 if all(row.status == PASS for row in rows) else 1
 
 

@@ -37,6 +37,7 @@ from kverify.polyring import KClass
 from test_chern import surjections_with_extra_one
 
 ROW_KEYS = {"check_name", "elapsed_ms", "lhs", "notes", "parameters", "rhs", "status"}
+CHECKOUT = Path(__file__).resolve().parent.parent
 
 
 # -- run_check and ordering -------------------------------------------------
@@ -65,12 +66,12 @@ def test_sort_reports_orders_by_name_then_parameters():
         row("b-check", {"n": 2}),
         row("a-check", {"p": 3, "n": 10}),
         row("a-check", {"p": 3, "n": 2}),
-        row("a-check", {"p": 3, "n": 2, "x": "u"}),
+        row("a-check", {"n": 2, "p": 2}),  # the same names in another insertion order
     ]
     ordered = sort_reports(rows)
     assert [r.check_name for r in ordered] == ["a-check", "a-check", "a-check", "b-check"]
-    assert ordered[0].parameters["n"] == 2
-    assert ordered[1].parameters == {"p": 3, "n": 2, "x": "u"}
+    assert ordered[0].parameters == {"n": 2, "p": 2}
+    assert ordered[1].parameters == {"p": 3, "n": 2}
     assert ordered[2].parameters["n"] == 10  # integers sort numerically, not textually
 
 
@@ -81,24 +82,26 @@ _SMALL_INT = st.integers(-3, 12)
 
 
 @st.composite
-def _rows_with_one_type_per_parameter(draw):
-    """Rows whose parameter names vary within a check name, given in any
-    insertion order, where each (check name, parameter name) holds only
-    ints or only strs; lhs numbers the rows, so any reordering shows."""
-    holds_str = draw(st.dictionaries(st.tuples(_CHECK_NAMES, _PARAMETER_NAMES), st.booleans()))
+def _rows_with_one_shape_per_check(draw):
+    """Rows where each check name has one set of parameter names, given in
+    any insertion order, and each of its parameters holds only ints or only
+    strs; lhs numbers the rows, so any reordering shows."""
+    shapes = draw(
+        st.dictionaries(
+            _CHECK_NAMES, st.dictionaries(_PARAMETER_NAMES, st.booleans(), max_size=4), min_size=1
+        )
+    )
     rows = []
     for index in range(draw(st.integers(0, 12))):
-        name = draw(_CHECK_NAMES)
-        keys = draw(st.lists(_PARAMETER_NAMES, unique=True, max_size=4))
-        parameters = {
-            key: draw(_SHORT_TEXT if holds_str.get((name, key)) else _SMALL_INT) for key in keys
-        }
+        name = draw(st.sampled_from(sorted(shapes)))
+        keys = draw(st.permutations(sorted(shapes[name])))
+        parameters = {key: draw(_SHORT_TEXT if shapes[name][key] else _SMALL_INT) for key in keys}
         rows.append(CheckReport(name, parameters, PASS, str(index), "", (), 0))
     return rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_rows_with_one_type_per_parameter())
+@given(_rows_with_one_shape_per_check())
 def test_sort_reports_is_the_sort_on_name_and_sorted_parameters(rows):
     expected = sorted(rows, key=lambda r: (r.check_name, sorted(r.parameters.items())))
     assert sort_reports(rows) == expected
@@ -116,16 +119,24 @@ SMALL_ARGV = {
 }
 
 
-@pytest.mark.parametrize("argv", list(SMALL_ARGV.values()), ids=list(SMALL_ARGV))
+SWEEP_DEEP_ARGV = ["all", "--config", str(CHECKOUT / "perfbench" / "sweep_deep.json")]
+
+
+@pytest.mark.parametrize(
+    "argv", [*SMALL_ARGV.values(), SWEEP_DEEP_ARGV], ids=[*SMALL_ARGV, "all-sweep-deep"]
+)
 def test_each_parameter_has_one_type_per_check(argv):
-    # sort_reports compares parameter values without a type tag
+    # the report layer's rule: one set of parameter names per check name,
+    # and one type per parameter, which sort_reports compares untagged
     assert {command for command, *_ in SMALL_ARGV.values()} == set(cli.COMMANDS)
-    types = {}
+    names, types = {}, {}
     command, values, _ = parse_argv(argv)
     for row in cli._rows_for(command, values):
+        names.setdefault(row.check_name, set()).add(frozenset(row.parameters))
         for name, value in row.parameters.items():
             types.setdefault((row.check_name, name), set()).add(type(value))
     assert types
+    assert all(len(sets) == 1 for sets in names.values())
     assert {frozenset(kinds) for kinds in types.values()} <= {frozenset({int}), frozenset({str})}
 
 
@@ -1041,8 +1052,25 @@ _REPORTS = st.builds(
 )
 
 
+@st.composite
+def _reports_with_one_shape_per_check(draw):
+    """Up to four rows of _REPORTS; a row whose check name came before
+    takes that row's parameter names, each with a new value of its type."""
+    shapes, rows = {}, []
+    for row in draw(st.lists(_REPORTS, max_size=4)):
+        shape = shapes.setdefault(row.check_name, row.parameters)
+        if shape is not row.parameters:
+            parameters = {
+                key: draw(_JSON_TEXT if isinstance(value, str) else _JSON_INT)
+                for key, value in shape.items()
+            }
+            row = row._replace(parameters=parameters)
+        rows.append(row)
+    return rows
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(_REPORTS, max_size=4))
+@given(_reports_with_one_shape_per_check())
 # format characters in check names, parameter names, status and notes
 @example(
     [
@@ -1066,22 +1094,6 @@ _REPORTS = st.builds(
         CheckReport(
             "d", {"p": 31, "deg": 2, "kind": "t", "page": 2, "degree": 10}, PASS, "1", "1", (), 0
         )
-    ]
-)
-# one check name and parameter name holding an int in one row and a str in
-# the next, and the reverse, no parameter and a single one
-@example(
-    [
-        CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
-        CheckReport("e", {"n": "1"}, PASS, "", "", (), 0),
-        CheckReport("e", {}, PASS, "", "", (), 0),
-        CheckReport("e", {"n": 1}, PASS, "", "", (), 0),
-    ]
-)
-@example(
-    [
-        CheckReport("e", {"n": "1", "x": 2}, PASS, "", "", (), 0),
-        CheckReport("e", {"n": 1, "x": 2}, PASS, "", "", (), 0),
     ]
 )
 # the array in pieces at the boundaries: no row, one row, exactly one piece
@@ -1174,9 +1186,18 @@ def test_check_name_vocabulary(capsys):
     }
 
 
+def test_readme_names_every_check_of_all(capsys):
+    readme = (CHECKOUT / "README.md").read_text()
+    section = readme.split("## What gets checked\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("\n- ")[1:]
+    named = [re.findall(r"`([a-z0-9-]+)`", bullet.partition("Check name")[2]) for bullet in bullets]
+    assert all(named), "every bullet names the check names it covers"
+    emitted = {row["check_name"] for row in _json_rows(capsys, ["all", "--json"])}
+    assert {name for names in named for name in names} == emitted
+
+
 # -- the console script -----------------------------------------------------
 
-CHECKOUT = Path(__file__).resolve().parent.parent
 SRC = CHECKOUT / "src"
 SCRIPT_ARGV = ["bernoulli", "--n-max", "2"]
 
@@ -1264,3 +1285,20 @@ def test_installed_script_on_path_runs(tmp_path):
         "reinstall it with `pip install -e . --no-build-isolation`"
     )
     _assert_script_ran(run([exe, *SCRIPT_ARGV]))
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["table", "json"])
+def test_a_reader_that_closes_the_pipe_early_ends_the_program_quietly(output):
+    # the report is several pipe buffers long, so the program still writes
+    # when the reader has gone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "kverify.cli", "bockstein", "--prime", "31", "--pages", "3"]
+    with subprocess.Popen(
+        argv + output, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert "Traceback" not in stderr
+    assert proc.returncode == 141, stderr
