@@ -7,15 +7,15 @@ rather than u.  The Chern character substitutes u -> exp(e) - 1, the
 additive Adams operation scales e^n by k^n, and the s-numbers are the
 rescaled coefficients m! [e^m] ch.
 
-ch and the s-numbers read one table.  Since
+The s-numbers read one table.  Since
 (exp(e) - 1)^j = j! sum_m S(m, j) e^m/m! with S the Stirling numbers of the
 second kind, u^j contributes j! S(m, j) to m! [e^m] ch, and that integer
 counts the surjections from an m-set onto a j-set.  It vanishes for j > m,
-so s_m(f) is the dot product of c_0..c_m with one cached row of integers,
-and ch through e^N takes the same dot product at each m <= N, times N!/m!
-over N!.  ch itself serves the series identities.  duality_sign computes
-s_m(L^-1 - 1) = (-1)^m through the same rows and checks it; the eigenvalue
-rows and the mod-p certificate both read their sign there.
+so s_m(f) is the dot product of c_0..c_m with one cached row of integers.
+ch is built from them, [e^m] ch = s_m / m! for each m <= N, so the two
+share one route; ch itself serves the series identities.  duality_sign
+computes s_m(L^-1 - 1) = (-1)^m through the same rows and checks it; the
+eigenvalue rows and the mod-p certificate both read their sign there.
 
 The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
 r^k(conjugate line - 1), whose coefficients kops.r_line_conjugate reads
@@ -51,19 +51,14 @@ from .polyring import KClass, line_power
 
 
 def ch(f: KClass) -> KClass:
-    """Chern character: substitute u -> exp(e) - 1, reading the surjection
-    rows s_eval reads: e^m takes the numerators' dot product with
-    _surjections(m) times order!/m!, over den * order!.  The dot products
-    stop at the last nonzero numerator, so a polynomial costs its degree.
+    """Chern character: substitute u -> exp(e) - 1; the coefficient of e^m
+    is the s-number s_eval(m, f) over m!.
 
     The order is the K-theory truncation: only the orders up to it are
     geometrically determined, and to cut lower, cut f.
     """
     order = f.truncation
-    nums = f.nums[: 1 + max((j for j, c in enumerate(f.nums) if c), default=0)]
-    top = factorial(order)
-    out = [sum(map(mul, nums, _surjections(m))) * (top // factorial(m)) for m in range(order + 1)]
-    return KClass(out, order, den=f.den * top)
+    return KClass([s_eval(m, f) / factorial(m) for m in range(order + 1)], order)
 
 
 def psi_H(k: int, c: KClass) -> KClass:
@@ -71,7 +66,10 @@ def psi_H(k: int, c: KClass) -> KClass:
     return KClass([x * k**n for n, x in enumerate(c.nums)], c.truncation, den=c.den)
 
 
-_SURJECTION_ROWS = [(1,)]
+@lru_cache(maxsize=None)
+def _surjection_rows() -> list[tuple[int, ...]]:
+    """The rows of _surjections built so far, from m = 0."""
+    return [(1,)]
 
 
 def _surjections(m: int) -> tuple[int, ...]:
@@ -83,7 +81,7 @@ def _surjections(m: int) -> tuple[int, ...]:
     from the cached row before it, in a loop rather than by recursion, so a
     first request for a large m cannot hit the recursion limit.
     """
-    rows = _SURJECTION_ROWS
+    rows = _surjection_rows()
     while len(rows) <= m:
         prev = rows[-1] + (0,)
         rows.append((0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, len(prev))))
@@ -96,8 +94,8 @@ def s_eval(m: int, f: KClass) -> Fraction:
     Computed as sum_{j<=m} c_j j! S(m, j): u^j = (exp(e) - 1)^j starts at e^j
     and its e^m coefficient times m! is the surjection count j! S(m, j), so
     only c_0..c_m contribute.  That is one integer dot product of the
-    numerators with the surjection row, over the class's denominator.  Like
-    ch, m above the truncation is an error.
+    numerators with the surjection row, over the class's denominator.  An
+    m above the truncation is an error.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")

@@ -52,16 +52,14 @@ class KClass:
     ``KClass(coeffs, N)`` takes int or Fraction coefficients, and
     ``KClass(nums, N, den=d)`` integer numerators over d >= 1.
 
-    Instances are immutable by convention.  Equality and hashing compare
-    truncation and coefficients.  A class with no u-terms equals its
-    constant term and hashes like it.
+    Instances are immutable by convention.  Equality compares truncation
+    and coefficients, and a class with no u-terms equals its constant term.
+    Defining equality leaves the class unhashable.
     """
 
     __slots__ = ("truncation", "nums", "den")
 
-    def __init__(self, coeffs, truncation: int | None = None, *, den=None):
-        if truncation is None:
-            truncation = max(len(coeffs) - 1, 0)
+    def __init__(self, coeffs, truncation: int, *, den=None):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         if den is None:
@@ -204,11 +202,6 @@ class KClass:
             key = (other.truncation, other.den, other.nums)
             return (self.truncation, self.den, self.nums) == key
         return NotImplemented
-
-    def __hash__(self):
-        if any(self.nums[1:]):
-            return hash((self.truncation, self.den, self.nums))
-        return hash(Fraction(self.nums[0], self.den))  # a constant hashes like its value
 
     def __str__(self):
         """The coefficients as "[x/d, ...]", each in lowest terms; zero is 0/1."""

@@ -9,10 +9,10 @@ mul is the one convolution kernel: integers in, integers out, as KClass
 products call it on their numerators.  compose is the substitution
 kernel, integers in and integers out the same way: given the powers of a
 series g, cached by the caller, it sums f_j g^j for the integer numerators
-f_j; psi substitutes (1+u)^k - 1 through it (ch reads its own surjection
-rows and needs no substitution).  log1 is integer in and out as well: it
-takes numerators over one denominator, as a KClass holds them, and runs the
-recurrence of (log a)' a = a' over them, keeping the logarithm's
+f_j; psi substitutes (1+u)^k - 1 through it (ch is built from chern's
+s-numbers and needs no substitution).  log1 is integer in and out as well:
+it takes numerators over one denominator, as a KClass holds them, and runs
+the recurrence of (log a)' a = a' over them, keeping the logarithm's
 coefficients as numerators over one running denominator, which it returns.
 
 inv is a stream: it yields the inverse's coefficients one at a time, and

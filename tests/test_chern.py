@@ -109,10 +109,10 @@ def test_ch_of_the_averaged_line_matches_horner(k):
     assert ch(f).coeffs == ch_by_horner(f, 30)
 
 
-def test_surjection_row_requested_first_at_399(monkeypatch):
+def test_surjection_row_requested_first_at_399():
     # an empty cache and a recursion limit just above the caller's depth: a
     # row built by recursion on m would fail here
-    monkeypatch.setattr(chern, "_SURJECTION_ROWS", [(1,)])
+    chern._surjection_rows.cache_clear()
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back

@@ -745,10 +745,7 @@ def test_prime_is_not_a_configuration_key(tmp_path, capsys):
 
 # Entry points that the runs below leave uncalled, each with the reason it stays.
 ALLOWED_UNREACHED = {
-    "kverify.__getattr__": "perfbench's tracer self-test reads kverify.bernoulli; "
-    "both go in the next benchmark change (ROADMAP item 1)",
     "polyring.KClass.__eq__": "tests compare ring values; report rows compare strings",
-    "polyring.KClass.__hash__": "tests hash classes; constants hash like the value they equal",
     "polyring.KClass.__repr__": "only test failure messages and debugging print classes",
 }
 

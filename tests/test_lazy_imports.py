@@ -1,5 +1,5 @@
-"""What each command loads, the lazily resolved package API, and what a run
-as the program does to the collector.
+"""What each command loads, what importing the package loads, and what a
+run leaves behind: the collector's state and the modules' containers.
 
 Every check runs in a fresh interpreter, so that nothing this test session
 has already imported can hide a module that a command loads."""
@@ -110,36 +110,46 @@ def test_only_the_program_freezes_the_loaded_heap():
     assert code == 0 and frozen > 0
 
 
-def test_package_names_resolve_lazily_to_their_home_modules():
+def test_importing_the_package_loads_only_its_bernoulli_binding():
     checks = _fresh(
         """
         import json, sys
         import kverify
         checks = {"loaded": sorted(n for n in sys.modules if n.split(".")[0] == "kverify")}
-        from kverify import dyerlashof
-        checks["submodule"] = dyerlashof is sys.modules["kverify.dyerlashof"]
-        # the module that defines each value also binds it under the name
-        checks["not_home"] = [
-            name
-            for name in kverify.__all__
-            if vars(sys.modules[getattr(kverify, name).__module__]).get(name)
-            is not getattr(kverify, name)
-        ]
-        namespace = {}
-        exec("from kverify import *", namespace)
-        checks["star"] = sorted(set(kverify.__all__) - set(namespace))
-        try:
-            kverify.no_such_name
-        except AttributeError as err:
-            checks["unknown"] = str(err)
+        checks["binding"] = kverify.bernoulli is sys.modules["kverify.exact"].bernoulli
         print(json.dumps(checks))
         """
     )
-    assert checks["loaded"] == ["kverify"]
-    assert checks["submodule"]
-    assert checks["not_home"] == []
-    assert checks["star"] == []
-    assert checks["unknown"] == "module 'kverify' has no attribute 'no_such_name'"
+    assert checks == {"loaded": ["kverify", "kverify.exact"], "binding": True}
+
+
+def test_a_run_leaves_every_module_container_as_it_found_it():
+    # what a run keeps lives in lru_caches, which clear_caches() empties; a
+    # module-level list, dict or set that a run fills would outlive that reset
+    checks = _fresh(
+        """
+        import contextlib, copy, importlib, io, json, pkgutil
+        import kverify
+        from kverify.cli import main
+        modules = [kverify] + [
+            importlib.import_module(f"kverify.{info.name}")
+            for info in pkgutil.iter_modules(kverify.__path__)
+        ]
+        containers = {
+            f"{module.__name__}.{name}": value
+            for module in modules
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))
+        }
+        before = copy.deepcopy(containers)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["all", "--json"])
+        changed = sorted(name for name, value in containers.items() if value != before[name])
+        print(json.dumps([code, len(containers), changed]))
+        """
+    )
+    code, count, changed = checks
+    assert code == 0 and count > 0 and changed == []
 
 
 def test_modules_loaded_during_a_run_copy_no_patched_function():

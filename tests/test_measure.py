@@ -9,8 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "measure.py"
 
-# a quoted time, "0.3 s" or "0.30-0.34 s", and the form README quotes it in
-TIME = r"\d+(?:\.\d+)?(?:-\d+(?:\.\d+)?)? s\b"
+# a quoted time, a median and its quartiles, "0.32 s (0.30-0.34)", and the
+# form README quotes it in
+NUMBER = r"\d+(?:\.\d+)?"
+TIME = rf"{NUMBER} s \({NUMBER}-{NUMBER}\)"
 TIMED_RUN = re.compile(r"`([^`]+)` takes " + TIME)
 
 
@@ -40,7 +42,8 @@ def _readme_timed_runs():
 
 def test_every_run_readme_times_is_a_case():
     readme = (ROOT / "README.md").read_text()
-    # every time README quotes is "`ARGV` takes MIN-MAX s" in the ceiling table
+    # every time README quotes is "`ARGV` takes MEDIAN s (Q1-Q3)" in the
+    # ceiling table
     table = _readme_timed_runs()
     assert len(re.findall(TIME, readme)) == sum(map(len, table.values()))
     cases = {}
@@ -51,9 +54,14 @@ def test_every_run_readme_times_is_a_case():
 
 def test_readme_cells_join_the_runs_of_a_setting():
     tool = _tool()
-    walls = {argv: [0.5, 0.25, 12.0 if setting == "k" else 1.5] for setting, argv in tool.CASES}
+    # quartiles ("exclusive" method): 0.35, 0.55 and 1.2, or 4.4 at the top
+    # for the k cases, whose 14 s run moves only the third quartile
+    walls = {
+        argv: [0.5, 0.2, 14.0 if setting == "k" else 1.2, 0.6, 0.4, 1.2]
+        for setting, argv in tool.CASES
+    }
     cells = tool.readme_cells(walls)
     assert set(cells) == {setting for setting, _ in tool.CASES}
-    assert cells["prime"] == "`akita --prime 199` takes 0.25-1.5 s"
-    assert cells["k"].count(" takes 0.25-12 s") == 2 and ", " not in cells["k"]
+    assert cells["prime"] == "`akita --prime 199` takes 0.55 s (0.35-1.2)"
+    assert cells["k"].count(" takes 0.55 s (0.35-4.4)") == 2 and ", " not in cells["k"]
     assert cells["n_max"].count(", ") == 2 and cells["n_max"].count(" and ") == 1

@@ -166,8 +166,11 @@ def test_truncation_discards_high_terms():
 
 
 def test_a_class_with_no_u_terms_equals_its_constant():
-    assert KClass([7], 2) == 7 and hash(KClass([7], 2)) == hash(7)
+    assert KClass([7], 2) == 7
     assert KClass([0, 1], 2) != 0
+    # equality is defined and hashing is not, so a class is unhashable
+    with pytest.raises(TypeError):
+        hash(KClass([7], 2))
 
 
 def test_coefficient_accessors():
@@ -250,7 +253,7 @@ def test_every_class_is_in_lowest_terms(fg, q):
         assert _lowest_terms(h), h
 
 
-def test_routes_to_one_value_compare_and_hash_equal():
+def test_routes_to_one_value_compare_equal():
     for n in (0, 1, 4, 9):
         one = line_power(0, n)
         for other in (
@@ -260,22 +263,9 @@ def test_routes_to_one_value_compare_and_hash_equal():
             (KClass([2, 4], n) * Fraction(1, 4) - KClass([0, 1], n) / 1) * 2,
             KClass([6], n, den=6),
         ):
-            assert other == one and hash(other) == hash(one), (n, other)
+            assert other == one, (n, other)
     u = line_power(1, 6) - 1
     assert u * Fraction(1, 3) + u * Fraction(2, 3) == u
-    assert hash(u * Fraction(1, 3) + u * Fraction(2, 3)) == hash(u)
-
-
-@settings(max_examples=80, deadline=None)
-@given(kclass_tuples(count=2), small_fractions)
-def test_equal_values_hash_equal(fg, q):
-    f, g = fg
-    constant = KClass.constant(q, f.truncation)
-    for a, b in ((f, g), (f, f * 1), (constant, q), (f, q), (constant + 0, constant)):
-        if a == b:
-            assert hash(a) == hash(b), (a, b)
-    assert constant == q and hash(constant) == hash(q)
-    assert len({line_power(0, 3), 1, KClass([1], 3)}) == 1
 
 
 # -- powers of the line class -----------------------------------------------

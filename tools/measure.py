@@ -17,11 +17,12 @@ runs in program mode, writes the report to ``os.devnull`` and then reads
 its own peak RSS, ``VmHWM`` of ``/proc/self/status`` (Linux), so the figure
 is the CLI's alone, not a high-water mark inherited across exec.
 
-The script prints min, median and max of the scaled times, the raw wall
-times and the peak RSS of each case, then the timed end of each "why the
-ceiling" cell of README's input table, ready to paste.  It takes no
-options.  Exit status 0, or 1 when a run fails or reports a row that is
-not PASS.  Standard library only.
+The script prints the first quartile, median and third quartile of each
+case's scaled times and of its raw wall times, and its peak RSS, then the
+timed end of each "why the ceiling" cell of README's input table, ready to
+paste.  Quartiles, unlike the min and max, are a range that a re-run can
+check.  It takes no options.  Exit status 0, or 1 when a run fails or
+reports a row that is not PASS.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import OUT, PROBE_REFERENCE_S, invoke, probe_loop  # noqa: E402
 
-ROUNDS = 4  # fresh processes per case
+ROUNDS = 8  # fresh processes per case
 
 # (setting whose README ceiling cell quotes the time, argv), in the order
 # the cell quotes them: every argv that README quotes a time for.
@@ -95,12 +96,12 @@ def seconds(value: float) -> str:
 
 def readme_cells(times: dict) -> dict[str, str]:
     """{setting: the timed end of its README ceiling cell}: "`ARGV` takes
-    MIN-MAX s" over {case: [seconds, ...]}, joined with commas and a last
-    "and"."""
+    MEDIAN s (Q1-Q3)" over {case: [seconds, ...]}, joined with commas and a
+    last "and"."""
     phrases = {}
     for setting, case in CASES:
-        low, high = min(times[case]), max(times[case])
-        phrases.setdefault(setting, []).append(f"`{case}` takes {seconds(low)}-{seconds(high)} s")
+        q1, median, q3 = map(seconds, statistics.quantiles(times[case], n=4))
+        phrases.setdefault(setting, []).append(f"`{case}` takes {median} s ({q1}-{q3})")
     return {
         setting: ", ".join(items[:-1]) + " and " + items[-1] if len(items) > 1 else items[0]
         for setting, items in phrases.items()
@@ -129,15 +130,16 @@ def main() -> int:
         f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}; times are wall / probe x "
         f"{PROBE_REFERENCE_S} s\n"
     )
-    print(f"{'case':50} {'min s':>7} {'median s':>9} {'max s':>7} {'raw wall s':>13} {'peak RSS MB':>12}")
+    print(
+        f"{'case':50} {'q1 s':>7} {'median s':>9} {'q3 s':>7} {'raw wall q1-q3 s':>17}"
+        f" {'peak RSS MB':>12}"
+    )
     for case in cases:
-        values = scaled[case]
-        raw = f"{min(walls[case]):.3f}-{max(walls[case]):.3f}"
+        q1, median, q3 = statistics.quantiles(scaled[case], n=4)
+        raw_q1, _, raw_q3 = statistics.quantiles(walls[case], n=4)
+        raw = f"{raw_q1:.3f}-{raw_q3:.3f}"
         peak = "-" if case == BARE else f"{max(rss[case]):.1f}"
-        print(
-            f"{case:50} {min(values):7.3f} {statistics.median(values):9.3f} {max(values):7.3f}"
-            f" {raw:>13} {peak:>12}"
-        )
+        print(f"{case:50} {q1:7.3f} {median:9.3f} {q3:7.3f} {raw:>17} {peak:>12}")
     print('\nREADME ceiling table, the timed end of each "why the ceiling" cell:')
     for setting, cell in readme_cells(scaled).items():
         print(f"{setting:10} {cell}")
