@@ -18,10 +18,11 @@ computes s_m(L^-1 - 1) = (-1)^m through the same rows and checks it; the
 eigenvalue rows and the mod-p certificate both read their sign there.
 
 The eigenvalue rows read s_(2n-1) off the reduced conjugate-average class
-r^k(conjugate line - 1), whose coefficients kops.r_line_conjugate reads
-off one series.inv stream of a binomial row.  That class does not depend
-on the prime, so it is built once per (k, truncation) and kept for the
-life of the process.  The key is the exact truncation, never a
+r^k(conjugate line - 1): polyring.r_line_conjugate reads its coefficients
+off one series.inv stream of a binomial row, and _conjugate_average
+subtracts the augmentation (k-1)/2.  That class does not depend on the
+prime, so it is built once per (k, truncation) and kept for the life of
+the process.  The key is the exact truncation, never a
 shared prefix: eigenvalue-truncation-stable compares the default window
 2n + 2 against a wider one (at least 2n + 3), and keyed this way the two
 sides are always two separate inversions, so the row can still fail.
@@ -46,8 +47,7 @@ from typing import NamedTuple
 
 from . import series
 from .exact import bernoulli
-from .kops import r_virtual_conjugate_minus_one, rho_line
-from .polyring import KClass, line_power
+from .polyring import KClass, line_power, r_line_conjugate, rho_line
 
 
 def ch(f: KClass) -> KClass:
@@ -179,16 +179,20 @@ def bh_psi_relation_check(k: int, order: int) -> SeriesCheck:
 
 
 def eigenvalue_closed_form(k: int, n: int) -> Fraction:
-    """(-1)^(n-1) (k^(2n) - 1) B_n / (2n), exactly."""
+    """(-1)^(n-1) (k^(2n) - 1) B_n / (2n), exactly, normalized once."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Fraction((-1) ** (n - 1)) * (Fraction(k) ** (2 * n) - 1) * bernoulli(n) / (2 * n)
+    num, den = bernoulli(n).as_integer_ratio()
+    return Fraction((-1) ** (n - 1) * (k ** (2 * n) - 1) * num, 2 * n * den)
 
 
 @lru_cache(maxsize=None)
 def _conjugate_average(k: int, truncation: int) -> KClass:
-    """r^k(conjugate line - 1) at exactly this truncation, built once."""
-    return r_virtual_conjugate_minus_one(k, truncation)
+    """r^k(conjugate line - 1) at exactly this truncation, built once: odd
+    k keeps the subtracted augmentation (k-1)/2 out of the 2-adic picture."""
+    if k % 2 == 0:
+        raise ValueError("k must be odd")
+    return r_line_conjugate(k, truncation) - Fraction(k - 1, 2)
 
 
 def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:

@@ -26,17 +26,22 @@ SystemExit.
 
 Every command shares the exact module; each suite imports the other modules
 it runs when it starts, so `bernoulli` loads only exact and series, and
-`bockstein` adds only the page engine.  The JSON output takes only the C
-string encoder, so no command but `all --config` imports the json package.
+`bockstein` adds only the page engine.  `theorem-a` and `eigenvalue` add
+series, polyring and chern, `akita` those and dyerlashof, and only
+`artin-hasse` and `all` load the operations of kops.  The JSON output takes
+only the C string encoder, so no command but `all --config` imports the
+json package.
 
 Run as the program (`python -m kverify.cli` or the `kverify` script), main
 gets no argv and reads sys.argv.  It first calls gc.freeze(): what is
-loaded by then lives until exit, so the collector need not scan it again,
-neither in the run's own collections nor in the full collections at exit.
-A reader that closes stdout early ends it with status 141 and no
-traceback: stdout is pointed at os.devnull, so the flush at exit cannot
-fail again.  An in-process call, main(argv),
-leaves the collector as it finds it and lets BrokenPipeError through.
+loaded by then lives until exit, so the full collections at exit need not
+scan it again.  Then it turns the cyclic collector off for the run: the
+rows, classes and series a run builds hold no reference cycles, and every
+collection a run made with it on freed nothing.  A reader that closes
+stdout early ends it with status 141 and no traceback: stdout is pointed
+at os.devnull, so the flush at exit cannot fail again.  An in-process
+call, main(argv), leaves the collector as it finds it and lets
+BrokenPipeError through.
 
 Each text a row reports has one source: str(KClass) writes a class's
 coefficients, a ModelKind's value is a bockstein row's `kind`, and the keys
@@ -784,6 +789,7 @@ def main(argv=None) -> int:
     program = argv is None
     if program:
         gc.freeze()
+        gc.disable()
         argv = sys.argv[1:]
     try:
         parsed = parse_argv(argv)

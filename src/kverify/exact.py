@@ -50,8 +50,7 @@ from typing import Iterator, NamedTuple
 
 def frac_str(q: Fraction | int) -> str:
     """Serialize a rational as "num/denom" in lowest terms; zero is "0/1"."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return "%d/%d" % q.as_integer_ratio()
 
 
 def is_prime(n: int) -> bool:

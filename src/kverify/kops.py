@@ -1,11 +1,11 @@
 """Operations on truncated K-theory classes.
 
 Adams operations act on the line class by L -> L^k, hence on u = L - 1 by
-substitution u -> (1+u)^k - 1.  On top of them sit the bundle-theoretic
-transfer classes for cyclic covers (rho, and the conjugate-average class r),
-the p-typical difference operations theta, and the p-local logarithm built
-from them.  The logarithm telescopes to (1 - psi^p/p) log(1-x); tests pin
-that closed form, the code here only ever evaluates the defining sums.
+substitution u -> (1+u)^k - 1.  On top of them sit the p-typical
+difference operations theta and the p-local logarithm built from them; the
+classes they act on are built in polyring.  The logarithm telescopes to
+(1 - psi^p/p) log(1-x); tests pin that closed form, the code here only ever
+evaluates the defining sums.
 Each power is taken once: theta^(p^t) raises g = f^(p^(t-1)) to the p-th
 power rather than f to the p^t-th, and the logarithm carries g from one t
 to the next instead of calling theta afresh.  The double-loop form is the
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from math import comb
 
 from . import series
 from .exact import is_prime, vp
@@ -71,50 +69,6 @@ def psi(k: int, f: KClass) -> KClass:
         raise ValueError("psi^0 is not an operation on these classes")
     out = series.compose(f.nums, _substitution_matrix(k, f.truncation))
     return KClass(out, f.truncation, den=f.den)
-
-
-def rho_line(k: int, a: int, truncation: int) -> KClass:
-    """(1/k) * (1 + L^a + L^(2a) + ... + L^((k-1)a)), with k inverted."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    total = sum((line_power(a * j, truncation) for j in range(k)), KClass.zero(truncation))
-    return KClass(total.nums, truncation, den=k)
-
-
-def r_line_conjugate(k: int, truncation: int) -> KClass:
-    """The weighted average sum((k-1-i) L^i, i<k-1) / sum(L^i, i<k).
-
-    Both sums are binomial rows by the hockey-stick identity: C(k, j+2) and
-    C(k, j+1) at u^j.  Augmentation is (k-1)/2.  The numerator satisfies the
-    exact polynomial identity (L - 1) * numerator = denominator - k, which
-    the tests use as an algebra-level check independent of any series
-    expansion, with both sums rebuilt there from line powers.
-
-    With u = L - 1 the identity reads numerator = (denominator - k) / u, so
-    the average is r = (1 - k/denominator) / u.  The inverse of the
-    denominator row starts at 1/k, so 1 - k/denominator has no constant
-    term and r_j = -k [u^(j+1)] denominator^(-1).  The class at truncation
-    N is therefore coefficients 1..N+1 of one inversion stream, scaled by -k;
-    they need the row's terms only through u^(N+1), and C(k, j+1) vanishes
-    from j = k on, so the row stops there.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    row = [comb(k, j + 1) for j in range(min(k, truncation + 2))]
-    inverse = islice(series.inv(row), 1, truncation + 2)
-    return KClass(list(inverse), truncation) * -k
-
-
-def r_virtual_conjugate_minus_one(k: int, truncation: int) -> KClass:
-    """r^k applied to the virtual class (conjugate line minus one).
-
-    Subtracting the augmentation (k-1)/2 leaves the reduced part whose
-    s-numbers carry the Bernoulli eigenvalues.  Requires odd k so the
-    subtracted scalar stays out of the 2-adic picture.
-    """
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
-    return r_line_conjugate(k, truncation) - Fraction(k - 1, 2)
 
 
 def _divide_p_power(f: KClass, p: int, t: int) -> KClass:

@@ -20,12 +20,16 @@ as "[x/d, ...]", each in lowest terms, read off the integer numerators.
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
 chern hands back rational KClass values whose coefficients are read in e.
-Of the package, the module imports only series, for the convolution.
+The model's named classes (L^a, the transfer class rho and the
+conjugate-average class r) are built here from line powers and binomial
+rows; the operations on classes are in kops.  Of the package, the module
+imports only series, for the convolution and r's one inversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -223,3 +227,35 @@ def line_power(a: int, truncation: int) -> KClass:
     else:
         coeffs = [(-1) ** i * comb(-a + i - 1, i) for i in range(truncation + 1)]
     return KClass(coeffs, truncation, den=1)
+
+
+def rho_line(k: int, a: int, truncation: int) -> KClass:
+    """(1/k) * (1 + L^a + L^(2a) + ... + L^((k-1)a)), with k inverted."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    total = sum((line_power(a * j, truncation) for j in range(k)), KClass.zero(truncation))
+    return KClass(total.nums, truncation, den=k)
+
+
+def r_line_conjugate(k: int, truncation: int) -> KClass:
+    """The weighted average sum((k-1-i) L^i, i<k-1) / sum(L^i, i<k).
+
+    Both sums are binomial rows by the hockey-stick identity: C(k, j+2) and
+    C(k, j+1) at u^j.  Augmentation is (k-1)/2.  The numerator satisfies the
+    exact polynomial identity (L - 1) * numerator = denominator - k, which
+    the tests use as an algebra-level check independent of any series
+    expansion, with both sums rebuilt there from line powers.
+
+    With u = L - 1 the identity reads numerator = (denominator - k) / u, so
+    the average is r = (1 - k/denominator) / u.  The inverse of the
+    denominator row starts at 1/k, so 1 - k/denominator has no constant
+    term and r_j = -k [u^(j+1)] denominator^(-1).  The class at truncation
+    N is therefore coefficients 1..N+1 of one inversion stream, scaled by -k;
+    they need the row's terms only through u^(N+1), and C(k, j+1) vanishes
+    from j = k on, so the row stops there.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    row = [comb(k, j + 1) for j in range(min(k, truncation + 2))]
+    inverse = islice(series.inv(row), 1, truncation + 2)
+    return KClass(list(inverse), truncation) * -k

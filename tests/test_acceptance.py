@@ -34,10 +34,9 @@ from kverify.kops import (
     l_double_loop,
     log_one_minus,
     psi,
-    rho_line,
     theta,
 )
-from kverify.polyring import KClass, line_power
+from kverify.polyring import KClass, line_power, rho_line
 
 
 def _gate(label: str, ok: bool) -> None:

@@ -20,8 +20,8 @@ from kverify.chern import (
     s_eval,
 )
 from kverify.exact import choose_k, vp
-from kverify.kops import l_double_loop, psi, rho_line
-from kverify.polyring import KClass, line_power
+from kverify.kops import l_double_loop, psi
+from kverify.polyring import KClass, line_power, rho_line
 from test_series import ref_compose
 
 

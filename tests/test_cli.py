@@ -669,7 +669,7 @@ def test_truncation_stable_row_compares_separate_inversions(
     # must show in both rows of that n: the wide side is its own inversion
     n = 2
     m = 2 * n - 1
-    build = chern.r_virtual_conjugate_minus_one
+    build = chern.r_line_conjugate
 
     def corrupted(k, truncation):
         f = build(k, truncation)
@@ -679,7 +679,7 @@ def test_truncation_stable_row_compares_separate_inversions(
         coeffs[m] += 1
         return KClass(coeffs, truncation)
 
-    monkeypatch.setattr(chern, "r_virtual_conjugate_minus_one", corrupted)
+    monkeypatch.setattr(chern, "r_line_conjugate", corrupted)
     rows = cmd_eigenvalue(3, None, 3, 8)
     failed = {(row.check_name, row.parameters["n"]) for row in rows if row.status != PASS}
     assert failed == {("eigenvalue-closed-form", n), ("eigenvalue-truncation-stable", n)}

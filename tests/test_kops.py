@@ -1,4 +1,6 @@
 """Adams operations, transfer classes, theta operations, p-local logarithm.
+The transfer classes and the conjugate average are built in polyring; their
+tests sit here with psi, which their defining relations read.
 
 The closed forms pinned here (the telescoped logarithm, the polynomial
 identity behind the conjugate average) were derived by hand; the code under
@@ -12,19 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kverify import kops, series
+from kverify import chern, kops, series
 from kverify.kops import (
     IntegralityViolation,
     artin_hasse_log,
     l_double_loop,
     log_one_minus,
     psi,
-    r_line_conjugate,
-    r_virtual_conjugate_minus_one,
-    rho_line,
     theta,
 )
-from kverify.polyring import Claim, KClass, line_power
+from kverify.polyring import Claim, KClass, line_power, r_line_conjugate, rho_line
 from test_series import ref_compose
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -202,12 +201,13 @@ def test_conjugate_average_at_windows_shorter_than_its_rows():
 
 
 def test_virtual_conjugate_reduced():
+    # chern's reduced class: the average less its augmentation (k-1)/2
     for k in (3, 5, 7):
-        f = r_virtual_conjugate_minus_one(k, 6)
+        f = chern._conjugate_average(k, 6)
         assert f.augmentation == 0
         assert f == r_line_conjugate(k, 6) - Fraction(k - 1, 2)
     with pytest.raises(ValueError):
-        r_virtual_conjugate_minus_one(4, 6)
+        chern._conjugate_average(4, 6)
     with pytest.raises(ValueError):
         r_line_conjugate(1, 6)
 

@@ -59,22 +59,29 @@ _BARE = """
 """
 
 _CLI = ["kverify", "kverify.cli", "kverify.exact"]
+_CHERN = _CLI + ["kverify.chern", "kverify.polyring", "kverify.series"]
 _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 
 
 # No command loads a module of _HEAVY, and only `all`, which reads its
-# --config file, loads the json package.
+# --config file, loads the json package.  The eigenvalue suites read the
+# conjugate-average class from polyring, so of the commands only
+# `artin-hasse` and `all` load the operations of kops.
 @pytest.mark.parametrize(
     "argv,loaded",
     [
         (["bernoulli", "--n-max", "2", "--json"], _CLI + ["kverify.series"]),
         (["bockstein", "--prime", "3", "--max-deg", "60", "--json"], _CLI + ["kverify.bockstein"]),
+        (["theorem-a", "--prime", "5", "--n-max", "2", "--json"], _CHERN),
+        (["eigenvalue", "--prime", "5", "--n-max", "2", "--json"], _CHERN),
+        (["akita", "--prime", "3", "--json"], _CHERN + ["kverify.dyerlashof"]),
+        (["artin-hasse", "--prime", "3", "--truncation", "4", "--json"], _CHERN + ["kverify.kops"]),
         (
             ["all", "--config", "-", "--json"],
             sorted(_JSON + ["kverify"] + [f"kverify.{name}" for name in MODULES]),
         ),
     ],
-    ids=["bernoulli", "bockstein", "all"],
+    ids=["bernoulli", "bockstein", "theorem-a", "eigenvalue", "akita", "artin-hasse", "all"],
 )
 def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, loaded):
     if "-" in argv:
@@ -88,26 +95,27 @@ def test_each_command_loads_only_the_modules_its_suite_runs(tmp_path, argv, load
 
 
 def test_only_the_program_freezes_the_loaded_heap():
-    # main() reads sys.argv and freezes what is loaded, which lives until
-    # exit; main(argv), as a host process calls it, leaves the collector be
+    # main() reads sys.argv, freezes what is loaded, which lives until exit,
+    # and turns the collector off; main(argv), as a host process calls it,
+    # leaves the collector be
     checks = _fresh(
         """
         import contextlib, gc, io, json, sys
         from kverify.cli import main
-        checks = {"before": gc.get_freeze_count()}
+        checks = {"before": [gc.get_freeze_count(), gc.isenabled()]}
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["bernoulli", "--n-max", "2"])
-            checks["in_process"] = [code, gc.get_freeze_count()]
+            checks["in_process"] = [code, gc.get_freeze_count(), gc.isenabled()]
             sys.argv = ["kverify", "bernoulli", "--n-max", "2"]
             code = main()
-            checks["program"] = [code, gc.get_freeze_count()]
+            checks["program"] = [code, gc.get_freeze_count(), gc.isenabled()]
         print(json.dumps(checks))
         """
     )
-    assert checks["before"] == 0
-    assert checks["in_process"] == [0, 0]
-    code, frozen = checks["program"]
-    assert code == 0 and frozen > 0
+    assert checks["before"] == [0, True]
+    assert checks["in_process"] == [0, 0, True]
+    code, frozen, enabled = checks["program"]
+    assert code == 0 and frozen > 0 and not enabled
 
 
 def test_importing_the_package_loads_only_its_bernoulli_binding():

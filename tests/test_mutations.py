@@ -28,9 +28,9 @@ No fault turns these FAIL yet (ROADMAP items):
   every s-number of each conjugate-average window.
 
 A fault replaces the function in every kverify module that binds it (cli
-and chern bind exact.bernoulli, cli binds choose_k and bernoulli_recursive),
-and the package's lru_caches are cleared before and after each case, so no
-faulted value outlives it.
+and chern bind exact.bernoulli, chern binds polyring.r_line_conjugate, cli
+binds choose_k and bernoulli_recursive), and the package's lru_caches are
+cleared before and after each case, so no faulted value outlives it.
 """
 
 import importlib
@@ -39,7 +39,7 @@ import json
 import pytest
 
 from conftest import MODULES, clear_caches
-from kverify import exact, kops, series
+from kverify import exact, kops, polyring, series
 from kverify.cli import ERROR, FAIL, PASS, main
 from kverify.polyring import KClass
 
@@ -170,8 +170,8 @@ CASES = {
         _choose_k_plus_two,
         {"denominator-valuation": {FAIL}, "eigenvalue-p-local": {FAIL}},
     ),
-    "kops.r_line_conjugate-plus-u": (
-        kops,
+    "polyring.r_line_conjugate-plus-u": (
+        polyring,
         "r_line_conjugate",
         _conjugate_plus_u,
         {"eigenvalue-closed-form": {FAIL}},
