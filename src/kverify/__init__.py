@@ -8,8 +8,9 @@ a mod-p homology pairing, and the closed-form pages of two model Bockstein
 spectral sequences.  Everything is exact; nothing is floating point.
 
 Each name is read from its module (``from kverify.chern import ch``), and
-importing the package loads only ``exact``, which every command loads
-anyway: a subcommand imports only the modules its suite runs.
+importing the package loads only ``exact`` and the ``report`` rows it
+builds, which every command loads anyway: a subcommand imports only the
+modules its suite runs.
 """
 
 # perfbench/test_perfbench.py reads kverify.bernoulli until the benchmark

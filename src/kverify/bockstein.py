@@ -23,7 +23,7 @@ closed-form basis, degree by degree, on the union of the two supports;
 everywhere else both sides are zero.  The exterior exponent is p^r - 1:
 the variant reading p^(r-1) already contradicts the computed homology of
 the first page in degree five for (p, deg y) = (3, 2), and the report
-notes say so.
+notes say so.  page_rows turns each model's report into the `bockstein` rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import exact
+from . import exact, report
 
 
 class ModelKind(Enum):
@@ -304,3 +304,45 @@ def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
         "homology already (degree 5 at p=3, generator degree 2)",
     )
     return PageReport(tuple(rows), mismatches, notes)
+
+
+def page_rows(p: int, deg: int, pages: int, max_deg: int) -> list[report.CheckReport]:
+    """Summary and dimension rows of each model.  Only the page-2 summary
+    row runs the page engine, so it is timed inside that row and a raise is
+    an ERROR row on every summary page; the other rows read its report."""
+    rows = []
+    for kind in ModelKind:
+        label = kind.value  # read once: Enum.value is a Python-level property
+        params = {"p": p, "deg": deg, "kind": label}
+        found = []
+
+        def page_two():
+            found.append(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
+            return f"{found[0].mismatches[2]} mismatches", "0 mismatches", found[0].notes
+
+        first = report.run_check("bockstein-page-summary", {**params, "page": 2}, page_two)
+        if not found:
+            # the page engine raised: every summary row carries its error
+            rows += [first._replace(parameters={**params, "page": n}) for n in range(2, pages + 1)]
+            continue
+        result = found[0]
+        rows.append(first)
+        rows += report.make_rows(
+            "bockstein-page-summary",
+            (
+                ({**params, "page": page}, f"{result.mismatches[page]} mismatches", "0 mismatches")
+                for page in range(3, pages + 1)
+            ),
+        )
+        rows += report.make_rows(
+            "bockstein-page-dimension",
+            (
+                (
+                    {"p": p, "deg": deg, "kind": label, "page": page, "degree": degree},
+                    str(computed),
+                    str(predicted),
+                )
+                for page, degree, computed, predicted in result.rows
+            ),
+        )
+    return rows

@@ -35,6 +35,9 @@ The series checks at the bottom pin the two classical identities tying the
 multiplicative series (exp(x) - 1)/x to the positive even Bernoulli numbers
 and to the Adams-averaged line class.  Both are verified coefficient by
 coefficient to a requested order, never assumed.
+
+The rows of `theorem-a` and `eigenvalue`, and the series rows of `all`, are
+built here: theorem_a_rows, eigenvalue_rows and series_rows.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from . import series
-from .exact import bernoulli
-from .polyring import KClass, line_power, r_line_conjugate, rho_line
+from . import exact, polyring, report, series
+from .polyring import KClass
 
 
 def ch(f: KClass) -> KClass:
@@ -117,7 +119,7 @@ def duality_sign(m: int) -> int:
     if m < 1:
         raise ValueError("m must be positive")
     expected = (-1) ** m
-    sign = s_eval(m, line_power(-1, m) - 1)
+    sign = s_eval(m, polyring.line_power(-1, m) - 1)
     if sign != expected:
         raise ArithmeticError(f"normalizing s-number came out {sign}, expected {expected}")
     return expected
@@ -159,7 +161,7 @@ def bh_log_identity_check(order: int) -> SeriesCheck:
     for n in range(1, order // 2 + 1):
         rhs[2 * n] = (
             Fraction((-1) ** (n - 1))
-            * bernoulli(n)
+            * exact.bernoulli(n)
             / (2 * n)
             / factorial(2 * n)
         )
@@ -174,7 +176,7 @@ def bh_psi_relation_check(k: int, order: int) -> SeriesCheck:
     if order < 1:
         raise ValueError("order must be positive")
     lhs = psi_H(k, bh(order))
-    rhs = ch(rho_line(k, 1, order)) * bh(order)
+    rhs = ch(polyring.rho_line(k, 1, order)) * bh(order)
     return _compare(order, lhs.coeffs, rhs.coeffs)
 
 
@@ -182,7 +184,7 @@ def eigenvalue_closed_form(k: int, n: int) -> Fraction:
     """(-1)^(n-1) (k^(2n) - 1) B_n / (2n), exactly, normalized once."""
     if n < 1:
         raise ValueError("n must be positive")
-    num, den = bernoulli(n).as_integer_ratio()
+    num, den = exact.bernoulli(n).as_integer_ratio()
     return Fraction((-1) ** (n - 1) * (k ** (2 * n) - 1) * num, 2 * n * den)
 
 
@@ -192,7 +194,7 @@ def _conjugate_average(k: int, truncation: int) -> KClass:
     k keeps the subtracted augmentation (k-1)/2 out of the 2-adic picture."""
     if k % 2 == 0:
         raise ValueError("k must be odd")
-    return r_line_conjugate(k, truncation) - Fraction(k - 1, 2)
+    return polyring.r_line_conjugate(k, truncation) - Fraction(k - 1, 2)
 
 
 def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
@@ -218,3 +220,114 @@ def rk_eigenvalue(k: int, n: int, truncation: int | None = None) -> Fraction:
 def _eigenvalue(k: int, m: int, truncation: int) -> Fraction:
     """rk_eigenvalue on s_m at exactly this truncation, computed once."""
     return s_eval(m, _conjugate_average(k, truncation)) / duality_sign(m)
+
+
+def _closed_form_rows(p: int, k: int, n_max: int, notes: tuple = ()) -> list[report.CheckReport]:
+    return [
+        report.run_check(
+            "eigenvalue-closed-form",
+            {"p": p, "k": k, "n": n},
+            lambda n=n: (
+                exact.frac_str(rk_eigenvalue(k, n)),
+                exact.frac_str(eigenvalue_closed_form(k, n)),
+                (),
+            ),
+            notes=notes,
+        )
+        for n in range(1, n_max + 1)
+    ]
+
+
+def theorem_a_rows(p: int, k: int | None, n_max: int) -> list[report.CheckReport]:
+    valuation_k = exact.choose_k(p)  # the valuation identity always uses the generator
+    k = k or valuation_k
+
+    def p_local(n):
+        valuation = exact.vp(rk_eigenvalue(k, n), p)
+        lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
+        return lhs, "p-local", ()
+
+    rows = _closed_form_rows(p, k, n_max, notes=("series route vs (-1)^(n-1) (k^(2n)-1) B_n/2n",))
+    for n in range(1, n_max + 1):
+        rows.append(
+            report.run_check(
+                "eigenvalue-p-local",
+                {"p": p, "k": k, "n": n},
+                lambda n=n: p_local(n),
+            )
+        )
+        rows.append(
+            report.run_check(
+                "denominator-valuation",
+                {"p": p, "k": valuation_k, "n": n},
+                lambda n=n: _valuation_thunk(p, n),
+            )
+        )
+        rows.append(
+            report.run_check(
+                "cleared-ratio-identity",
+                {"n": n},
+                lambda n=n: (
+                    exact.frac_str(exact.num_denom(n)[1] * (exact.bernoulli(n) / (2 * n))),
+                    exact.frac_str(Fraction(exact.num_denom(n)[0])),
+                    (),
+                ),
+                notes=("denominator times the ratio recovers the numerator exactly",),
+            )
+        )
+    return rows
+
+
+def _valuation_thunk(p: int, n: int):
+    vc = exact.denominator_valuation_check(p, n)
+    return f"v={vc.lhs_valuation}", f"v={vc.rhs_valuation}", (vc.note,) if vc.note else ()
+
+
+def eigenvalue_rows(p: int, k: int | None, n_max: int, truncation: int) -> list[report.CheckReport]:
+    k = k or exact.choose_k(p)
+    rows = _closed_form_rows(p, k, n_max)
+    for n in range(1, n_max + 1):
+        wide = max(truncation, 2 * n + 3)
+        rows.append(
+            report.run_check(
+                "eigenvalue-truncation-stable",
+                {"p": p, "k": k, "n": n, "truncation": wide},
+                lambda n=n, wide=wide: (
+                    exact.frac_str(rk_eigenvalue(k, n)),
+                    exact.frac_str(rk_eigenvalue(k, n, truncation=wide)),
+                    (),
+                ),
+                notes=("default window against a wider truncation",),
+            )
+        )
+    return rows
+
+
+def series_rows(order: int) -> list[report.CheckReport]:
+    """The two series identities behind the eigenvalue computation."""
+    rows = [
+        report.run_check(
+            "series-log-bernoulli",
+            {"order": order},
+            lambda: _series_thunk(bh_log_identity_check(order)),
+        )
+    ]
+    for k in (2, 3, 5):
+        rows.append(
+            report.run_check(
+                "series-psi-average",
+                {"k": k, "order": order},
+                lambda k=k: _series_thunk(bh_psi_relation_check(k, order)),
+            )
+        )
+    return rows
+
+
+def _series_thunk(check: SeriesCheck):
+    if check.passed:
+        return "coefficients agree", "coefficients agree", ()
+    return (
+        f"first mismatch at order {check.first_mismatch}",
+        "coefficients agree",
+        (),
+    )

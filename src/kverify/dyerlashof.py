@@ -13,7 +13,7 @@ conjugate-side class detects the double operation on the bottom generator
 and so pairs to zero, which is the classical suspension argument, stated in
 a certificate note and not computed.  Since the numerator of B_p/2p is a
 unit mod p (computed), the cleared identity would force those two pairings
-to agree.
+to agree.  akita_rows reports the certificate as the `akita` row.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from . import chern, exact
+from . import chern, exact, report
 
 
 class _LeadingFields(NamedTuple):
@@ -135,3 +135,21 @@ def akita_counterexample(p: int) -> Certificate:
         f"genus threshold {8 * p - 3} is reported, not derived here",
     )
     return Certificate(p, s_pairing, num_residue, notes)
+
+
+def akita_rows(p: int) -> list[report.CheckReport]:
+    def thunk():
+        certificate = akita_counterexample(p)
+        refuted = "conjecture fails mod p"
+        return (
+            refuted if certificate.refutes else "certificate incomplete",
+            refuted,
+            certificate.notes
+            + (
+                # the kappa side is the suspension argument of the third note
+                f"s-side pairing {certificate.s_pairing}, kappa side 0, "
+                f"numerator residue {certificate.num_residue} mod {p}",
+            ),
+        )
+
+    return [report.run_check("akita-counterexample", {"p": p}, thunk)]

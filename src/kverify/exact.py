@@ -11,8 +11,8 @@ coefficients of the series above all vanish.
 
 The primary algorithm expands the generating series with exact rational
 arithmetic.  ``bernoulli_recursive`` reaches the same numbers through the
-binomial recurrence and exists so that callers (the CLI and the acceptance
-suite) can cross-check the two routes against each other.
+binomial recurrence and exists so that callers (``bernoulli_rows`` and the
+acceptance suite) can cross-check the two routes against each other.
 
 Each route computes its table once per process and serves every smaller
 index as a prefix of it.  The series route keeps one expansion: the
@@ -36,6 +36,8 @@ j from j = 3 on, so the record takes a 0 there without a sum.  A Fraction
 of the record is built only for the index asked for.  Each route builds the
 B_n it returns, and the roundtrip each coefficient it rebuilds, as one
 Fraction, normalized once.
+
+The rows of the `bernoulli` command are built here, by ``bernoulli_rows``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from itertools import chain, count, islice, repeat
 from math import comb, factorial, gcd
 from operator import add
 from typing import Iterator, NamedTuple
+
+from . import report
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -228,3 +232,39 @@ def denominator_valuation_check(p: int, n: int) -> ValuationCheck:
         rhs = _int_valuation(denom, p)
         note = ""
     return ValuationCheck(p, n, k, lhs, rhs, note)
+
+
+def bernoulli_rows(n_max: int) -> list[report.CheckReport]:
+    rows = []
+    for n in range(1, n_max + 1):
+        rows.append(
+            report.run_check(
+                "bernoulli-value",
+                {"n": n},
+                lambda n=n: (frac_str(bernoulli(n)), frac_str(bernoulli_recursive(n)), ()),
+                notes=("series expansion vs binomial recurrence",),
+            )
+        )
+        rows.append(
+            report.run_check(
+                "bernoulli-num-denom",
+                {"n": n},
+                lambda n=n: (
+                    "{}/{}".format(*num_denom(n)),
+                    frac_str(bernoulli_recursive(n) / (2 * n)),
+                    (),
+                ),
+            )
+        )
+    rows.append(
+        report.run_check(
+            "bernoulli-series-roundtrip",
+            {"n_max": n_max},
+            lambda: (
+                "consistent" if generating_series_roundtrip(n_max) else "inconsistent",
+                "consistent",
+                (),
+            ),
+        )
+    )
+    return rows

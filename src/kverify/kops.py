@@ -17,6 +17,9 @@ Everything is exact.  Division by p^t is checked coefficient by coefficient
 and raises IntegralityViolation, carrying the offending coefficient, rather
 than silently producing a fraction: the divisibility IS the theorem in most
 of the places these operations are used.
+
+The module holds the operations, and the artin-hasse rows that check them
+(artin_hasse_rows).
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import series
-from .exact import is_prime, vp
-from .polyring import Claim, KClass, line_power
+from . import chern, exact, polyring, report, series
+from .polyring import Claim, KClass
 
 
 class IntegralityViolation(ArithmeticError):
@@ -46,7 +48,7 @@ class IntegralityViolation(ArithmeticError):
 @lru_cache(maxsize=None)
 def _substitution_matrix(k: int, truncation: int) -> tuple[tuple[int, ...], ...]:
     """Row j: ((1+u)^k - 1)^j mod u^(N+1), from u^j on (the lower terms vanish)."""
-    shifted = list(line_power(k, truncation).nums)
+    shifted = list(polyring.line_power(k, truncation).nums)
     shifted[0] -= 1
     rows = [(1,) + (0,) * truncation]
     for _ in range(truncation):
@@ -74,7 +76,7 @@ def psi(k: int, f: KClass) -> KClass:
 def _divide_p_power(f: KClass, p: int, t: int) -> KClass:
     """f / p^t, raising IntegralityViolation unless every coefficient x/d
     allows it: v_p(x) - v_p(d) >= t, that is p^(t + v_p(d)) divides x."""
-    step = p ** (t + vp(f.den, p))
+    step = p ** (t + exact.vp(f.den, p))
     for i, x in enumerate(f.nums):
         if x % step:
             raise IntegralityViolation(p, t, i, Fraction(x, f.den))
@@ -82,7 +84,7 @@ def _divide_p_power(f: KClass, p: int, t: int) -> KClass:
 
 
 def _check_theta_input(p: int, t: int, f: KClass) -> None:
-    if not is_prime(p):
+    if not exact.is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -173,3 +175,84 @@ def l_double_loop(p: int, f: KClass) -> KClass:
     _check_theta_input(p, 1, f)
     s = -f
     return -(s + _divide_p_power(-(psi(p, s) * p), p, 1))
+
+
+_SIGN_NOTE = (
+    "computed double-loop logarithm is x - psi^p(x), with multiplier "
+    "1 - p^n on weight-n numbers; the stated + variant (x + psi^p(x), "
+    "multiplier 1 + p^n) does not match the defining sum as evaluated "
+    "here; both multipliers are congruent to 1 mod p"
+)
+
+
+def artin_hasse_rows(p: int, truncation: int) -> list[report.CheckReport]:
+    def theta_integrality(t, x):
+        try:
+            result = theta(p, t, x)
+        except IntegralityViolation as err:
+            return (
+                f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}",
+                "p-integral",
+                (),
+            )
+        if not Claim(p).admits(result.den):
+            return f"denominator {result.den}", "p-integral", ()
+        return "p-integral", "p-integral", ()
+
+    def log_closed_form(x):
+        lhs = artin_hasse_log(p, x)
+        logarithm = log_one_minus(x)
+        rhs = logarithm - psi(p, logarithm) / p
+        return str(lhs), str(rhs), ()
+
+    rows = []
+    line = polyring.line_power(1, truncation)
+    u = line - 1
+    samples = [("u", u), ("u^2", u * u), ("u+u^2", u + u * u)]
+    for label, x in samples:
+        for t in range(0, 4):
+            rows.append(
+                report.run_check(
+                    "theta-integrality",
+                    {"p": p, "t": t, "N": truncation, "x": label},
+                    lambda t=t, x=x: theta_integrality(t, x),
+                )
+            )
+    for label, x in samples:
+        rows.append(
+            report.run_check(
+                "p-local-log-closed-form",
+                {"p": p, "N": truncation, "x": label},
+                lambda x=x: log_closed_form(x),
+                notes=(
+                    "defining double sum vs (1 - psi^p/p) log(1-x); "
+                    "global sign +1",
+                ),
+            )
+        )
+    for label, f in (("L", line), ("u", u)):
+        rows.append(
+            report.run_check(
+                "double-loop-log-form",
+                {"p": p, "N": truncation, "f": label},
+                lambda f=f: (
+                    str(l_double_loop(p, f)),
+                    str(f - psi(p, f)),
+                    (),
+                ),
+                notes=(_SIGN_NOTE,),
+            )
+        )
+    for n in range(1, min(6, truncation) + 1):
+        rows.append(
+            report.run_check(
+                "double-loop-weight-scalar",
+                {"p": p, "n": n},
+                lambda n=n: (
+                    exact.frac_str(chern.s_eval(n, l_double_loop(p, u))),
+                    exact.frac_str(Fraction(1 - p**n)),
+                    (f"1 - {p}^{n} = {1 - p ** n} is congruent to 1 mod {p}",),
+                ),
+            )
+        )
+    return rows

@@ -2,7 +2,9 @@
 
 import importlib
 
-MODULES = ("exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "cli")
+MODULES = (
+    "exact", "series", "polyring", "kops", "chern", "dyerlashof", "bockstein", "report", "cli"
+)
 
 
 def clear_caches():

@@ -25,10 +25,10 @@ from kverify.chern import (
     rk_eigenvalue,
     s_eval,
 )
-from kverify.cli import _SIGN_NOTE
 from kverify.dyerlashof import akita_counterexample
 from kverify.exact import bernoulli, bernoulli_recursive, choose_k, num_denom, vp
 from kverify.kops import (
+    _SIGN_NOTE,
     IntegralityViolation,
     artin_hasse_log,
     l_double_loop,

@@ -19,21 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODULES, clear_caches
-from kverify import bockstein, chern, cli, dyerlashof, exact, kops, series
-from kverify.cli import (
-    ERROR,
-    FAIL,
-    PASS,
-    CheckReport,
-    cmd_bernoulli,
-    cmd_eigenvalue,
-    cmd_theorem_a,
-    main,
-    parse_argv,
-    run_check,
-    sort_reports,
-)
+from kverify import bockstein, chern, cli, dyerlashof, exact, kops, polyring, report, series
+from kverify.chern import eigenvalue_rows, theorem_a_rows
+from kverify.cli import main, parse_argv, sort_reports
+from kverify.exact import bernoulli_rows
 from kverify.polyring import KClass
+from kverify.report import ERROR, FAIL, PASS, CheckReport, run_check
 from test_chern import surjections_with_extra_one
 
 ROW_KEYS = {"check_name", "elapsed_ms", "lhs", "notes", "parameters", "rhs", "status"}
@@ -287,7 +278,7 @@ def test_each_rule_exits_two_before_any_suite(monkeypatch, capsys, tmp_path, cas
     def no_row(*args, **kwargs):
         raise SuiteRan(args[0])
 
-    monkeypatch.setattr(cli, "run_check", no_row)  # every suite builds its rows here
+    monkeypatch.setattr(report, "run_check", no_row)  # every suite builds its rows here
     if isinstance(case, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(case))
@@ -394,11 +385,9 @@ def test_error_row_exits_one(monkeypatch, capsys):
     assert "lhs=" in out  # non-PASS table lines carry the comparison payload
 
 
-# Each setup function patched where the suite reads it: the cli copy of
-# denominator_valuation_check, and the module that each of the other two
-# suites imports its function from when it starts.
+# Each setup function patched in its home module, where the suite reads it.
 _SETUP_HOMES = {
-    "denominator_valuation_check": cli,
+    "denominator_valuation_check": exact,
     "akita_counterexample": dyerlashof,
     "verify_closed_form_pages": bockstein,
 }
@@ -442,7 +431,7 @@ def test_bockstein_runs_one_check_per_model(monkeypatch, capsys):
         calls.append((name, parameters))
         return run_check(name, parameters, thunk, notes)
 
-    monkeypatch.setattr(cli, "run_check", counted)
+    monkeypatch.setattr(report, "run_check", counted)
     assert main(["bockstein", "--prime", "31", "--pages", "3", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 3974
     assert calls == [
@@ -586,7 +575,7 @@ def test_bernoulli_suite_expands_few_series(monkeypatch):
     exact._series_coefficients.cache_clear()
     exact._recurrence.cache_clear()
     try:
-        assert all(row.status == PASS for row in cmd_bernoulli(80))
+        assert all(row.status == PASS for row in bernoulli_rows(80))
         assert exact._series_coefficients.cache_info().misses == 1
         assert len(computed) == 161
 
@@ -614,7 +603,7 @@ def test_theorem_a_searches_for_the_generator_once(monkeypatch):
 
     monkeypatch.setattr(exact, "multiplicative_order", counting_order)
     exact.choose_k.cache_clear()
-    assert all(row.status == PASS for row in cmd_theorem_a(199, None, 5))
+    assert all(row.status == PASS for row in theorem_a_rows(199, None, 5))
     assert calls == [(3, 199**2)]
 
 
@@ -639,7 +628,7 @@ def test_eigenvalue_suites_invert_once_per_class(monkeypatch, fresh_conjugate_av
     def suites():
         rows = []
         for p in (2, 5, 7):
-            rows += cmd_theorem_a(p, None, n_max) + cmd_eigenvalue(p, None, n_max, truncation)
+            rows += theorem_a_rows(p, None, n_max) + eigenvalue_rows(p, None, n_max, truncation)
         return rows
 
     assert all(row.status == PASS for row in suites())  # fills the Bernoulli tables
@@ -669,7 +658,7 @@ def test_truncation_stable_row_compares_separate_inversions(
     # must show in both rows of that n: the wide side is its own inversion
     n = 2
     m = 2 * n - 1
-    build = chern.r_line_conjugate
+    build = polyring.r_line_conjugate
 
     def corrupted(k, truncation):
         f = build(k, truncation)
@@ -679,8 +668,8 @@ def test_truncation_stable_row_compares_separate_inversions(
         coeffs[m] += 1
         return KClass(coeffs, truncation)
 
-    monkeypatch.setattr(chern, "r_line_conjugate", corrupted)
-    rows = cmd_eigenvalue(3, None, 3, 8)
+    monkeypatch.setattr(polyring, "r_line_conjugate", corrupted)
+    rows = eigenvalue_rows(3, None, 3, 8)
     failed = {(row.check_name, row.parameters["n"]) for row in rows if row.status != PASS}
     assert failed == {("eigenvalue-closed-form", n), ("eigenvalue-truncation-stable", n)}
     assert all(row.status in (PASS, FAIL) for row in rows)
@@ -1298,4 +1287,24 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_program_quietly(output):
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
     assert "Traceback" not in stderr
+    assert proc.returncode == 141, stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_usage_into_a_closed_pipe_ends_the_program_quietly(unbuffered):
+    # the reader is gone before the program starts, so the usage text meets
+    # a closed pipe: at its write when stdout is unbuffered, else at the flush
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kverify.cli", "-h"],
+            stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(writer)
+    stderr = proc.stderr.decode()
+    assert "BrokenPipeError" not in stderr
     assert proc.returncode == 141, stderr

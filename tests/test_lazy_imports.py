@@ -4,6 +4,7 @@ run leaves behind: the collector's state and the modules' containers.
 Every check runs in a fresh interpreter, so that nothing this test session
 has already imported can hide a module that a command loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -58,7 +59,7 @@ _BARE = """
     print(json.dumps([loaded, heavy]))
 """
 
-_CLI = ["kverify", "kverify.cli", "kverify.exact"]
+_CLI = ["kverify", "kverify.cli", "kverify.exact", "kverify.report"]
 _CHERN = _CLI + ["kverify.chern", "kverify.polyring", "kverify.series"]
 _JSON = ["json", "json.decoder", "json.encoder", "json.scanner"]
 
@@ -128,7 +129,7 @@ def test_importing_the_package_loads_only_its_bernoulli_binding():
         print(json.dumps(checks))
         """
     )
-    assert checks == {"loaded": ["kverify", "kverify.exact"], "binding": True}
+    assert checks == {"loaded": ["kverify", "kverify.exact", "kverify.report"], "binding": True}
 
 
 def test_a_run_leaves_every_module_container_as_it_found_it():
@@ -160,14 +161,30 @@ def test_a_run_leaves_every_module_container_as_it_found_it():
     assert code == 0 and count > 0 and changed == []
 
 
-def test_modules_loaded_during_a_run_copy_no_patched_function():
+# Each command's argv, and the modules that its run loads: cli, exact and
+# polyring (with report and series) are loaded before the run, so every
+# module that holds a suite, but exact, loads during it.
+_RUN_LOADS = {
+    "bernoulli": (["bernoulli", "--n-max", "2"], []),
+    "bockstein": (["bockstein", "--prime", "3", "--max-deg", "60"], ["bockstein"]),
+    "theorem-a": (["theorem-a", "--prime", "5", "--n-max", "2"], ["chern"]),
+    "eigenvalue": (["eigenvalue", "--prime", "5", "--n-max", "2"], ["chern"]),
+    "akita": (["akita", "--prime", "3"], ["chern", "dyerlashof"]),
+    "artin-hasse": (["artin-hasse", "--prime", "3", "--truncation", "4"], ["chern", "kops"]),
+    "all": (["all"], ["bockstein", "chern", "dyerlashof", "kops"]),
+}
+
+
+@pytest.mark.parametrize("command", _RUN_LOADS)
+def test_modules_loaded_during_a_run_copy_no_patched_function(command):
     # A module that a suite loads on demand must read its siblings'
     # functions through the module, or it keeps whatever wrapper or patch
     # was bound when it loaded (the benchmark's tracer checks this too).
+    argv, loads = _RUN_LOADS[command]
     checks = _fresh(
-        """
+        f"""
         import contextlib, io, json, sys
-        from kverify import chern, cli, exact, polyring, series
+        from kverify import cli, exact, polyring, report, series
 
         def sentinel(fn):
             def wrapper(*args, **kwargs):
@@ -175,19 +192,28 @@ def test_modules_loaded_during_a_run_copy_no_patched_function():
             wrapper.sentinel = True
             return wrapper
 
-        patched = [(chern, "s_eval"), (exact, "bernoulli"), (exact, "is_prime"),
-                   (polyring, "line_power")]
+        def loaded():
+            return {{name for name in sys.modules if name.split(".")[0] == "kverify"}}
+
+        patched = [
+            (module, name)
+            for module in (exact, polyring, report, series)
+            for name, value in vars(module).items()
+            if callable(value) and not isinstance(value, type)
+            and getattr(value, "__module__", None) == module.__name__
+        ]
         originals = [getattr(module, name) for module, name in patched]
-        checks = {"before": "kverify.dyerlashof" in sys.modules}
+        before = loaded()
         for module, name in patched:
             setattr(module, name, sentinel(getattr(module, name)))
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                checks["code"] = cli.main(["akita", "--prime", "3"])
+                checks = {{"code": cli.main({argv!r})}}
         finally:
             for (module, name), original in zip(patched, originals):
                 setattr(module, name, original)
-        checks["after"] = "kverify.dyerlashof" in sys.modules
+        checks["patched"] = len(patched)
+        checks["loads"] = sorted(name.split(".")[1] for name in loaded() - before)
         owners = []
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "kverify":
@@ -197,7 +223,7 @@ def test_modules_loaded_during_a_run_copy_no_patched_function():
                     if isinstance(value, type) and value.__module__ == name
                 ]
         checks["leftovers"] = sorted(
-            f"{getattr(owner, '__name__', owner)}.{attr}"
+            f"{{getattr(owner, '__name__', owner)}}.{{attr}}"
             for owner in owners
             for attr, value in vars(owner).items()
             if getattr(value, "sentinel", False)
@@ -205,4 +231,39 @@ def test_modules_loaded_during_a_run_copy_no_patched_function():
         print(json.dumps(checks))
         """
     )
-    assert checks == {"before": False, "code": 0, "after": True, "leftovers": []}
+    assert checks.pop("patched") > 20
+    assert checks == {"code": 0, "loads": loads, "leftovers": []}
+
+
+def _imports_of_the_package(path: Path):
+    """(name of the enclosing function or None, what is imported) for each
+    import of a kverify module in the file at path.  A call of
+    import_module is an import of a module named at run time, "?"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kverify")):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.startswith("kverify")]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "import_module":
+            names = ["?"]
+        else:
+            continue
+        scope = parents.get(node)
+        while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+            scope = parents.get(scope)
+        for name in names:
+            yield getattr(scope, "name", None), name.rpartition(".")[2]
+
+
+def test_no_module_imports_cli_and_only_the_suite_lookup_imports_on_demand():
+    # cli runs as __main__ under `python -m kverify.cli`, so a module that
+    # imported it would compile and run it a second time
+    local = set()
+    for path in sorted((SRC / "kverify").glob("*.py")):
+        for function, name in _imports_of_the_package(path):
+            assert name != "cli", f"{path.name} imports cli"
+            if function is not None:
+                local.add((path.stem, function, name))
+    assert local == {("cli", "_suite", "?"), ("exact", "_series_coefficients", "series")}

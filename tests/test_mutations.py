@@ -28,9 +28,9 @@ No fault turns these FAIL yet (ROADMAP items):
   every s-number of each conjugate-average window.
 
 A fault replaces the function in every kverify module that binds it (cli
-and chern bind exact.bernoulli, chern binds polyring.r_line_conjugate, cli
-binds choose_k and bernoulli_recursive), and the package's lru_caches are
-cleared before and after each case, so no faulted value outlives it.
+binds exact.bernoulli for the benchmark; every other module reads its
+siblings' functions through their modules), and the package's lru_caches
+are cleared before and after each case, so no faulted value outlives it.
 """
 
 import importlib
@@ -40,7 +40,8 @@ import pytest
 
 from conftest import MODULES, clear_caches
 from kverify import exact, kops, polyring, series
-from kverify.cli import ERROR, FAIL, PASS, main
+from kverify.cli import main
+from kverify.report import ERROR, FAIL, PASS
 from kverify.polyring import KClass
 
 
