@@ -37,7 +37,9 @@ and to the Adams-averaged line class.  Both are verified coefficient by
 coefficient to a requested order, never assumed.
 
 The rows of `theorem-a` and `eigenvalue`, and the series rows of `all`, are
-built here: theorem_a_rows, eigenvalue_rows and series_rows.
+built here: theorem_a_rows, eigenvalue_rows and series_rows.  Each check is
+one report.rows call, eigenvalue-closed-form too: both commands emit it
+through _closed_form_rows, theorem-a with its note and eigenvalue without.
 """
 
 from __future__ import annotations
@@ -222,112 +224,78 @@ def _eigenvalue(k: int, m: int, truncation: int) -> Fraction:
     return s_eval(m, _conjugate_average(k, truncation)) / duality_sign(m)
 
 
+def _fractions(lhs: Fraction, rhs: Fraction):
+    return exact.frac_str(lhs), exact.frac_str(rhs), ()
+
+
 def _closed_form_rows(p: int, k: int, n_max: int, notes: tuple = ()) -> list[report.CheckReport]:
-    return [
-        report.run_check(
-            "eigenvalue-closed-form",
-            {"p": p, "k": k, "n": n},
-            lambda n=n: (
-                exact.frac_str(rk_eigenvalue(k, n)),
-                exact.frac_str(eigenvalue_closed_form(k, n)),
-                (),
-            ),
-            notes=notes,
-        )
-        for n in range(1, n_max + 1)
-    ]
+    return report.rows(
+        "eigenvalue-closed-form",
+        [{"p": p, "k": k, "n": n} for n in range(1, n_max + 1)],
+        lambda p, k, n: _fractions(rk_eigenvalue(k, n), eigenvalue_closed_form(k, n)),
+        notes,
+    )
 
 
 def theorem_a_rows(p: int, k: int | None, n_max: int) -> list[report.CheckReport]:
     valuation_k = exact.choose_k(p)  # the valuation identity always uses the generator
     k = k or valuation_k
-
-    def p_local(n):
-        valuation = exact.vp(rk_eigenvalue(k, n), p)
-        lhs = "p-local" if valuation >= 0 else f"valuation {valuation}"
-        return lhs, "p-local", ()
-
-    rows = _closed_form_rows(p, k, n_max, notes=("series route vs (-1)^(n-1) (k^(2n)-1) B_n/2n",))
-    for n in range(1, n_max + 1):
-        rows.append(
-            report.run_check(
-                "eigenvalue-p-local",
-                {"p": p, "k": k, "n": n},
-                lambda n=n: p_local(n),
-            )
+    indices = range(1, n_max + 1)
+    return (
+        _closed_form_rows(p, k, n_max, notes=("series route vs (-1)^(n-1) (k^(2n)-1) B_n/2n",))
+        + report.rows("eigenvalue-p-local", [{"p": p, "k": k, "n": n} for n in indices], _p_local)
+        + report.rows(
+            "denominator-valuation",
+            [{"p": p, "k": valuation_k, "n": n} for n in indices],
+            _valuation,
         )
-        rows.append(
-            report.run_check(
-                "denominator-valuation",
-                {"p": p, "k": valuation_k, "n": n},
-                lambda n=n: _valuation_thunk(p, n),
-            )
+        + report.rows(
+            "cleared-ratio-identity",
+            [{"n": n} for n in indices],
+            lambda n: _fractions(
+                exact.num_denom(n)[1] * (exact.bernoulli(n) / (2 * n)), exact.num_denom(n)[0]
+            ),
+            notes=("denominator times the ratio recovers the numerator exactly",),
         )
-        rows.append(
-            report.run_check(
-                "cleared-ratio-identity",
-                {"n": n},
-                lambda n=n: (
-                    exact.frac_str(exact.num_denom(n)[1] * (exact.bernoulli(n) / (2 * n))),
-                    exact.frac_str(Fraction(exact.num_denom(n)[0])),
-                    (),
-                ),
-                notes=("denominator times the ratio recovers the numerator exactly",),
-            )
-        )
-    return rows
+    )
 
 
-def _valuation_thunk(p: int, n: int):
+def _p_local(p: int, k: int, n: int):
+    valuation = exact.vp(rk_eigenvalue(k, n), p)
+    return "p-local" if valuation >= 0 else f"valuation {valuation}", "p-local", ()
+
+
+def _valuation(p: int, k: int, n: int):
     vc = exact.denominator_valuation_check(p, n)
     return f"v={vc.lhs_valuation}", f"v={vc.rhs_valuation}", (vc.note,) if vc.note else ()
 
 
 def eigenvalue_rows(p: int, k: int | None, n_max: int, truncation: int) -> list[report.CheckReport]:
     k = k or exact.choose_k(p)
-    rows = _closed_form_rows(p, k, n_max)
-    for n in range(1, n_max + 1):
-        wide = max(truncation, 2 * n + 3)
-        rows.append(
-            report.run_check(
-                "eigenvalue-truncation-stable",
-                {"p": p, "k": k, "n": n, "truncation": wide},
-                lambda n=n, wide=wide: (
-                    exact.frac_str(rk_eigenvalue(k, n)),
-                    exact.frac_str(rk_eigenvalue(k, n, truncation=wide)),
-                    (),
-                ),
-                notes=("default window against a wider truncation",),
-            )
-        )
-    return rows
+    indices = range(1, n_max + 1)
+    return _closed_form_rows(p, k, n_max) + report.rows(
+        "eigenvalue-truncation-stable",
+        [{"p": p, "k": k, "n": n, "truncation": max(truncation, 2 * n + 3)} for n in indices],
+        lambda p, k, n, truncation: _fractions(
+            rk_eigenvalue(k, n), rk_eigenvalue(k, n, truncation=truncation)
+        ),
+        notes=("default window against a wider truncation",),
+    )
 
 
 def series_rows(order: int) -> list[report.CheckReport]:
     """The two series identities behind the eigenvalue computation."""
-    rows = [
-        report.run_check(
-            "series-log-bernoulli",
-            {"order": order},
-            lambda: _series_thunk(bh_log_identity_check(order)),
-        )
-    ]
-    for k in (2, 3, 5):
-        rows.append(
-            report.run_check(
-                "series-psi-average",
-                {"k": k, "order": order},
-                lambda k=k: _series_thunk(bh_psi_relation_check(k, order)),
-            )
-        )
-    return rows
-
-
-def _series_thunk(check: SeriesCheck):
-    if check.passed:
-        return "coefficients agree", "coefficients agree", ()
-    return (
-        f"first mismatch at order {check.first_mismatch}",
-        "coefficients agree",
-        (),
+    return report.rows(
+        "series-log-bernoulli",
+        [{"order": order}],
+        lambda order: _agreement(bh_log_identity_check(order)),
+    ) + report.rows(
+        "series-psi-average",
+        [{"k": k, "order": order} for k in (2, 3, 5)],
+        lambda k, order: _agreement(bh_psi_relation_check(k, order)),
     )
+
+
+def _agreement(check: SeriesCheck):
+    mismatch = f"first mismatch at order {check.first_mismatch}"
+    return "coefficients agree" if check.passed else mismatch, "coefficients agree", ()

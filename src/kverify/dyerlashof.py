@@ -138,18 +138,15 @@ def akita_counterexample(p: int) -> Certificate:
 
 
 def akita_rows(p: int) -> list[report.CheckReport]:
-    def thunk():
-        certificate = akita_counterexample(p)
-        refuted = "conjecture fails mod p"
-        return (
-            refuted if certificate.refutes else "certificate incomplete",
-            refuted,
-            certificate.notes
-            + (
-                # the kappa side is the suspension argument of the third note
-                f"s-side pairing {certificate.s_pairing}, kappa side 0, "
-                f"numerator residue {certificate.num_residue} mod {p}",
-            ),
-        )
+    return report.rows("akita-counterexample", [{"p": p}], _akita)
 
-    return [report.run_check("akita-counterexample", {"p": p}, thunk)]
+
+def _akita(p: int):
+    certificate = akita_counterexample(p)
+    refuted = "conjecture fails mod p"
+    lhs = refuted if certificate.refutes else "certificate incomplete"
+    # the kappa side is the suspension argument of the third note
+    return lhs, refuted, certificate.notes + (
+        f"s-side pairing {certificate.s_pairing}, kappa side 0, "
+        f"numerator residue {certificate.num_residue} mod {p}",
+    )

@@ -37,7 +37,8 @@ of the record is built only for the index asked for.  Each route builds the
 B_n it returns, and the roundtrip each coefficient it rebuilds, as one
 Fraction, normalized once.
 
-The rows of the `bernoulli` command are built here, by ``bernoulli_rows``.
+The rows of the `bernoulli` command are built here, by ``bernoulli_rows``:
+each of its checks is one ``report.rows`` call.
 """
 
 from __future__ import annotations
@@ -235,36 +236,26 @@ def denominator_valuation_check(p: int, n: int) -> ValuationCheck:
 
 
 def bernoulli_rows(n_max: int) -> list[report.CheckReport]:
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.append(
-            report.run_check(
-                "bernoulli-value",
-                {"n": n},
-                lambda n=n: (frac_str(bernoulli(n)), frac_str(bernoulli_recursive(n)), ()),
-                notes=("series expansion vs binomial recurrence",),
-            )
+    indices = range(1, n_max + 1)
+    return (
+        report.rows(
+            "bernoulli-value",
+            [{"n": n} for n in indices],
+            lambda n: (frac_str(bernoulli(n)), frac_str(bernoulli_recursive(n)), ()),
+            notes=("series expansion vs binomial recurrence",),
         )
-        rows.append(
-            report.run_check(
-                "bernoulli-num-denom",
-                {"n": n},
-                lambda n=n: (
-                    "{}/{}".format(*num_denom(n)),
-                    frac_str(bernoulli_recursive(n) / (2 * n)),
-                    (),
-                ),
-            )
+        + report.rows(
+            "bernoulli-num-denom",
+            [{"n": n} for n in indices],
+            lambda n: ("%d/%d" % num_denom(n), frac_str(bernoulli_recursive(n) / (2 * n)), ()),
         )
-    rows.append(
-        report.run_check(
+        + report.rows(
             "bernoulli-series-roundtrip",
-            {"n_max": n_max},
-            lambda: (
+            [{"n_max": n_max}],
+            lambda n_max: (
                 "consistent" if generating_series_roundtrip(n_max) else "inconsistent",
                 "consistent",
                 (),
             ),
         )
     )
-    return rows

@@ -19,7 +19,8 @@ than silently producing a fraction: the divisibility IS the theorem in most
 of the places these operations are used.
 
 The module holds the operations, and the artin-hasse rows that check them
-(artin_hasse_rows).
+(artin_hasse_rows), each check one report.rows call whose rows build their
+classes from their own key (N and the label): a raise there is an ERROR row.
 """
 
 from __future__ import annotations
@@ -185,74 +186,70 @@ _SIGN_NOTE = (
 )
 
 
-def artin_hasse_rows(p: int, truncation: int) -> list[report.CheckReport]:
-    def theta_integrality(t, x):
-        try:
-            result = theta(p, t, x)
-        except IntegralityViolation as err:
-            return (
-                f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}",
-                "p-integral",
-                (),
-            )
-        if not Claim(p).admits(result.den):
-            return f"denominator {result.den}", "p-integral", ()
-        return "p-integral", "p-integral", ()
-
-    def log_closed_form(x):
-        lhs = artin_hasse_log(p, x)
-        logarithm = log_one_minus(x)
-        rhs = logarithm - psi(p, logarithm) / p
-        return str(lhs), str(rhs), ()
-
-    rows = []
+@lru_cache(maxsize=None)
+def _samples(truncation: int) -> dict[str, KClass]:
+    """The classes the artin-hasse rows name by label, built once per
+    truncation: the line L, u = L - 1, u^2 and u + u^2."""
     line = polyring.line_power(1, truncation)
     u = line - 1
-    samples = [("u", u), ("u^2", u * u), ("u+u^2", u + u * u)]
-    for label, x in samples:
-        for t in range(0, 4):
-            rows.append(
-                report.run_check(
-                    "theta-integrality",
-                    {"p": p, "t": t, "N": truncation, "x": label},
-                    lambda t=t, x=x: theta_integrality(t, x),
-                )
-            )
-    for label, x in samples:
-        rows.append(
-            report.run_check(
-                "p-local-log-closed-form",
-                {"p": p, "N": truncation, "x": label},
-                lambda x=x: log_closed_form(x),
-                notes=(
-                    "defining double sum vs (1 - psi^p/p) log(1-x); "
-                    "global sign +1",
-                ),
-            )
+    return {"L": line, "u": u, "u^2": u * u, "u+u^2": u + u * u}
+
+
+def _theta_integrality(p: int, t: int, N: int, x: str):
+    try:
+        result = theta(p, t, _samples(N)[x])
+    except IntegralityViolation as err:
+        lhs = f"coefficient {err.coefficient} of u^{err.index} not divisible by {p}^{t}"
+        return lhs, "p-integral", ()
+    if not Claim(p).admits(result.den):
+        return f"denominator {result.den}", "p-integral", ()
+    return "p-integral", "p-integral", ()
+
+
+def _log_closed_form(p: int, N: int, x: str):
+    sample = _samples(N)[x]
+    lhs = artin_hasse_log(p, sample)
+    logarithm = log_one_minus(sample)
+    return str(lhs), str(logarithm - psi(p, logarithm) / p), ()
+
+
+def _double_loop_log_form(p: int, N: int, f: str):
+    sample = _samples(N)[f]
+    return str(l_double_loop(p, sample)), str(sample - psi(p, sample)), ()
+
+
+def artin_hasse_rows(p: int, truncation: int) -> list[report.CheckReport]:
+    labels = ("u", "u^2", "u+u^2")
+
+    def weight_scalar(p, n):
+        # the key has no N: s_n reads u^0..u^n alone, which no truncation N >= n changes
+        return (
+            exact.frac_str(chern.s_eval(n, l_double_loop(p, _samples(truncation)["u"]))),
+            exact.frac_str(Fraction(1 - p**n)),
+            (f"1 - {p}^{n} = {1 - p ** n} is congruent to 1 mod {p}",),
         )
-    for label, f in (("L", line), ("u", u)):
-        rows.append(
-            report.run_check(
-                "double-loop-log-form",
-                {"p": p, "N": truncation, "f": label},
-                lambda f=f: (
-                    str(l_double_loop(p, f)),
-                    str(f - psi(p, f)),
-                    (),
-                ),
-                notes=(_SIGN_NOTE,),
-            )
+
+    return (
+        report.rows(
+            "theta-integrality",
+            [{"p": p, "t": t, "N": truncation, "x": x} for x in labels for t in range(4)],
+            _theta_integrality,
         )
-    for n in range(1, min(6, truncation) + 1):
-        rows.append(
-            report.run_check(
-                "double-loop-weight-scalar",
-                {"p": p, "n": n},
-                lambda n=n: (
-                    exact.frac_str(chern.s_eval(n, l_double_loop(p, u))),
-                    exact.frac_str(Fraction(1 - p**n)),
-                    (f"1 - {p}^{n} = {1 - p ** n} is congruent to 1 mod {p}",),
-                ),
-            )
+        + report.rows(
+            "p-local-log-closed-form",
+            [{"p": p, "N": truncation, "x": x} for x in labels],
+            _log_closed_form,
+            notes=("defining double sum vs (1 - psi^p/p) log(1-x); global sign +1",),
         )
-    return rows
+        + report.rows(
+            "double-loop-log-form",
+            [{"p": p, "N": truncation, "f": f} for f in ("L", "u")],
+            _double_loop_log_form,
+            notes=(_SIGN_NOTE,),
+        )
+        + report.rows(
+            "double-loop-weight-scalar",
+            [{"p": p, "n": n} for n in range(1, min(6, truncation) + 1)],
+            weight_scalar,
+        )
+    )

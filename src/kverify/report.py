@@ -4,13 +4,16 @@ A row's status is PASS exactly when its lhs and rhs strings agree; FAIL
 means the comparison ran and came out unequal; ERROR means the computation
 itself raised.  All numeric payloads are fraction or residue strings, never
 floats.  Each suite lives in the module whose identities it checks and
-builds its rows here; cli orders and writes them.  This module imports no
-other module of the package.
+declares each check once, as rows(name, space, thunk): one row for each
+parameter dict of the space, its comparison the thunk of exactly those
+parameters.  cli orders and writes the rows.  This module imports no other
+module of the package.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import NamedTuple
 
 PASS = "PASS"
@@ -55,3 +58,9 @@ def run_check(name: str, parameters: dict, thunk, notes: tuple = ()) -> CheckRep
     elapsed = int((time.perf_counter() - start) * 1000)
     (row,) = make_rows(name, [(parameters, lhs, rhs)], notes + tuple(extra), elapsed)
     return row
+
+
+def rows(name: str, space, thunk, notes: tuple = ()) -> list[CheckReport]:
+    """One run_check row for each parameter dict of space, the thunk called
+    on exactly that dict's parameters, as keywords."""
+    return [run_check(name, params, partial(thunk, **params), notes) for params in space]

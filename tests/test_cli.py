@@ -131,6 +131,30 @@ def test_each_parameter_has_one_type_per_check(argv):
     assert {frozenset(kinds) for kinds in types.values()} <= {frozenset({int}), frozenset({str})}
 
 
+@pytest.mark.parametrize(
+    "argv,repeated,notes_differ",
+    [(["all"], 42, 24), (SWEEP_DEEP_ARGV, 98, 56)],
+    ids=["all", "all-sweep-deep"],
+)
+def test_rows_that_share_a_key_agree(argv, repeated, notes_differ):
+    # `all` emits some (check name, parameters) keys more than once; every
+    # row of a key must compare the same, and eigenvalue-closed-form is the
+    # one check whose rows of a key differ in their notes (theorem-a's note
+    # against none from eigenvalue)
+    command, values, _ = parse_argv(argv)
+    rows = cli._rows_for(command, values)
+    keys = {}
+    for row in rows:
+        keys.setdefault((row.check_name, tuple(sorted(row.parameters.items()))), []).append(row)
+    assert len(rows) - len(keys) == repeated
+    differ = []
+    for (name, _), group in keys.items():
+        assert len({(row.status, row.lhs, row.rhs) for row in group}) == 1, (name, group)
+        if len({row.notes for row in group}) > 1:
+            differ.append(name)
+    assert differ == ["eigenvalue-closed-form"] * notes_differ
+
+
 # -- the argv contract -------------------------------------------------------
 
 
@@ -420,6 +444,29 @@ def test_raising_setup_becomes_error_rows(monkeypatch, capsys, setup, argv, chec
     errors = [row for row in json.loads(captured.out) if row["status"] == ERROR]
     assert errors and {row["check_name"] for row in errors} == {check_name}
     assert all(row["notes"][-1] == "ArithmeticError: setup failed" for row in errors)
+
+
+def test_raising_sample_class_becomes_error_rows(monkeypatch, capsys):
+    # each artin-hasse row builds the class its key names (N and the label),
+    # so a fault in the line power is an ERROR row of every check, not a
+    # traceback; a class that an earlier test cached would hide the fault
+    def broken(*args):
+        raise ArithmeticError("line power failed")
+
+    clear_caches()
+    monkeypatch.setattr(polyring, "line_power", broken)
+    assert main(["artin-hasse", "--prime", "3", "--truncation", "4", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = json.loads(captured.out)
+    assert {row["check_name"] for row in rows} == {
+        "theta-integrality",
+        "p-local-log-closed-form",
+        "double-loop-log-form",
+        "double-loop-weight-scalar",
+    }
+    assert all(row["status"] == ERROR for row in rows)
+    assert all(row["notes"][-1] == "ArithmeticError: line power failed" for row in rows)
 
 
 def test_bockstein_runs_one_check_per_model(monkeypatch, capsys):

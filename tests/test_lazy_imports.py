@@ -267,3 +267,26 @@ def test_no_module_imports_cli_and_only_the_suite_lookup_imports_on_demand():
             if function is not None:
                 local.add((path.stem, function, name))
     assert local == {("cli", "_suite", "?"), ("exact", "_series_coefficients", "series")}
+
+
+def test_each_check_is_declared_through_report_rows():
+    # a thunk takes its row's key as arguments, so no lambda reads a loop
+    # variable through a default argument; and only report.rows, and the
+    # page engine's summary row in bockstein.page_rows, call run_check
+    defaults, callers = [], set()
+    for path in sorted((SRC / "kverify").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Lambda) and (node.args.defaults or any(node.args.kw_defaults)):
+                defaults.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and "run_check" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                scope = parents[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                callers.add((path.stem, getattr(scope, "name", None)))
+    assert defaults == []
+    assert callers == {("report", "rows"), ("bockstein", "page_rows")}
