@@ -6,9 +6,9 @@ difference operations theta and the p-local logarithm built from them; the
 classes they act on are built in polyring.  The logarithm telescopes to
 (1 - psi^p/p) log(1-x); tests pin that closed form, the code here only ever
 evaluates the defining sums.
-Each power is taken once: theta^(p^t) raises g = f^(p^(t-1)) to the p-th
-power rather than f to the p^t-th, and the logarithm carries g from one t
-to the next instead of calling theta afresh.  The double-loop form is the
+Each power is taken once: theta and the logarithm read f^m off the class's
+table of powers (KClass.powers), and psi^k's substitution rows are the
+table of (1+u)^k - 1.  The double-loop form is the
 same sum for a class times the reduced generator w of a double suspension;
 there w^2 = 0 and psi^k scales w by k, so two terms survive, and
 l_double_loop computes those two on the base class directly.
@@ -48,13 +48,10 @@ class IntegralityViolation(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _substitution_matrix(k: int, truncation: int) -> tuple[tuple[int, ...], ...]:
-    """Row j: ((1+u)^k - 1)^j mod u^(N+1), from u^j on (the lower terms vanish)."""
-    shifted = list(polyring.line_power(k, truncation).nums)
-    shifted[0] -= 1
-    rows = [(1,) + (0,) * truncation]
-    for _ in range(truncation):
-        rows.append(series.mul(rows[-1], shifted, truncation))
-    return tuple(row[j:] for j, row in enumerate(rows))
+    """Row j: ((1+u)^k - 1)^j mod u^(N+1) from u^j on (the lower terms vanish),
+    the numerators of entry j of that integral class's table of powers."""
+    shifted = polyring.line_power(k, truncation) - 1
+    return tuple(row.nums[j:] for j, row in enumerate(shifted.powers()))
 
 
 def psi(k: int, f: KClass) -> KClass:
@@ -93,6 +90,19 @@ def _check_theta_input(p: int, t: int, f: KClass) -> None:
         raise ValueError(f"theta at p = {p} needs a {p}-local input, got denominator {f.den}")
 
 
+def _check_reduced(f: KClass, name: str) -> None:
+    """Refuse f unless it is reduced (augmentation zero), as _power needs: then
+    f^m lies in u^m and above, so past f^N, its table's end, it is zero."""
+    if f.augmentation != 0:
+        raise ValueError(f"{name} is defined on classes with augmentation zero")
+
+
+def _power(f: KClass, m: int) -> KClass:
+    """f^m, for m >= 0 and a reduced f, off f's table of powers."""
+    table = f.powers()
+    return table[m] if m < len(table) else KClass.zero(f.truncation)
+
+
 def theta(p: int, t: int, f: KClass) -> KClass:
     """The p-typical difference operation (x^(p^t) - psi^p(x^(p^(t-1)))) / p^t.
 
@@ -101,12 +111,10 @@ def theta(p: int, t: int, f: KClass) -> KClass:
     integrality lemma the tests exercise.
     """
     _check_theta_input(p, t, f)
-    if f.augmentation != 0:
-        raise ValueError("theta is defined on classes with augmentation zero")
+    _check_reduced(f, "theta")
     if t == 0:
         return f
-    g = f ** (p ** (t - 1))
-    return _divide_p_power(g**p - psi(p, g), p, t)
+    return _divide_p_power(_power(f, p**t) - psi(p, _power(f, p ** (t - 1))), p, t)
 
 
 def log_one_minus(x: KClass) -> KClass:
@@ -127,31 +135,26 @@ def artin_hasse_log(p: int, x: KClass) -> KClass:
 
     x must be reduced (augmentation zero) so the powers climb the u-adic
     filtration and the sum is finite at each truncation.  Each theta term is
-    theta's own expression, (g^p - psi^p(g)) / p^t for g = (x^n)^(p^(t-1)),
-    with g carried from one t to the next, so every power is taken once.
+    theta's own expression, (x^(m p) - psi^p(x^m)) / p^t for m = n p^(t-1),
+    with both powers read off x's table, so every power is taken once.
     theta's input check runs once, on x: its powers are p-local with it.
     The result is p-locally integral, and an ArithmeticError is raised if
     its denominator says otherwise.
     """
     _check_theta_input(p, 0, x)
-    if x.augmentation != 0:
-        raise ValueError("argument must have augmentation zero")
+    _check_reduced(x, "the p-local logarithm")
     truncation = x.truncation
     total = KClass.zero(truncation)
-    xn = x
     for n in range(1, truncation + 1):
-        if xn.is_zero():
+        inner = _power(x, n)  # the t = 0 term is x^n itself
+        if inner.is_zero():
             break
         if n % p != 0:
-            inner = g = xn  # the t = 0 term is x^n itself
-            t = 1
-            while n * p ** (t - 1) <= truncation:
-                g_next = g**p
-                inner = inner + _divide_p_power(g_next - psi(p, g), p, t)
-                g = g_next
-                t += 1
+            m, t = n, 1
+            while m <= truncation:
+                inner = inner + _divide_p_power(_power(x, m * p) - psi(p, _power(x, m)), p, t)
+                m, t = m * p, t + 1
             total = total + inner * Fraction(-1, n)
-        xn = xn * x
     if not Claim(p).admits(total.den):
         raise ArithmeticError(f"the logarithm at p = {p} has denominator {total.den}")
     return total
@@ -192,7 +195,8 @@ def _samples(truncation: int) -> dict[str, KClass]:
     truncation: the line L, u = L - 1, u^2 and u + u^2."""
     line = polyring.line_power(1, truncation)
     u = line - 1
-    return {"L": line, "u": u, "u^2": u * u, "u+u^2": u + u * u}
+    u2 = _power(u, 2)
+    return {"L": line, "u": u, "u^2": u2, "u+u^2": u + u2}
 
 
 def _theta_integrality(p: int, t: int, N: int, x: str):
@@ -218,17 +222,21 @@ def _double_loop_log_form(p: int, N: int, f: str):
     return str(l_double_loop(p, sample)), str(sample - psi(p, sample)), ()
 
 
+# The double-loop-weight-scalar rows run n up to this weight and evaluate their
+# class at it as the truncation: s_n reads u^0..u^n alone, as at any N >= n.
+_MAX_WEIGHT = 6
+
+
+def _weight_scalar(p: int, n: int):
+    return (
+        exact.frac_str(chern.s_eval(n, l_double_loop(p, _samples(_MAX_WEIGHT)["u"]))),
+        exact.frac_str(Fraction(1 - p**n)),
+        (f"1 - {p}^{n} = {1 - p ** n} is congruent to 1 mod {p}",),
+    )
+
+
 def artin_hasse_rows(p: int, truncation: int) -> list[report.CheckReport]:
     labels = ("u", "u^2", "u+u^2")
-
-    def weight_scalar(p, n):
-        # the key has no N: s_n reads u^0..u^n alone, which no truncation N >= n changes
-        return (
-            exact.frac_str(chern.s_eval(n, l_double_loop(p, _samples(truncation)["u"]))),
-            exact.frac_str(Fraction(1 - p**n)),
-            (f"1 - {p}^{n} = {1 - p ** n} is congruent to 1 mod {p}",),
-        )
-
     return (
         report.rows(
             "theta-integrality",
@@ -249,7 +257,7 @@ def artin_hasse_rows(p: int, truncation: int) -> list[report.CheckReport]:
         )
         + report.rows(
             "double-loop-weight-scalar",
-            [{"p": p, "n": n} for n in range(1, min(6, truncation) + 1)],
-            weight_scalar,
+            [{"p": p, "n": n} for n in range(1, min(_MAX_WEIGHT, truncation) + 1)],
+            _weight_scalar,
         )
     )

@@ -9,13 +9,13 @@ denominator: in lowest terms it is the lcm of the coefficients'
 denominators, so the class is integral when it is 1 and p-local when p does
 not divide it.  Claim(p) is that p-locality test; the operations that need
 a p-local input (theta and the logarithms in kops) apply it to the values
-they are given.  A power f**n costs bit_length(n) - 1 squarings and
-popcount(n) - 1 further products, and no product with one, unless it has
-vanished: a class of u-adic valuation v >= 1 (its first nonzero coefficient
-is at u^v) has f**n = 0 once v n > N, and that power is the zero class, with
-no product.  f**0 is the unit; the model takes no inverse, so a negative n
-is refused.  str(f) is the text the report rows compare: the coefficients
-as "[x/d, ...]", each in lowest terms, read off the integer numerators.
+they are given.  A class's powers are one table, f.powers() = (f^0, ...,
+f^N), built on the first call by one product per entry from f^2 on and kept
+on the class, so each power is multiplied once per class: a class of u-adic
+valuation v >= 1 (its first nonzero coefficient is at u^v) has f^m = 0 once
+v m > N, and the entries after that one cost no product.  str(f) is the
+text the report rows compare: the coefficients as "[x/d, ...]", each in
+lowest terms, read off the integer numerators.
 
 KClass serves both sides of the Chern character.  Cohomology of the same
 space is Q[e]/(e^(N+1)), the same truncated ring in another generator, so
@@ -61,7 +61,7 @@ class KClass:
     Defining equality leaves the class unhashable.
     """
 
-    __slots__ = ("truncation", "nums", "den")
+    __slots__ = ("truncation", "nums", "den", "_powers")
 
     def __init__(self, coeffs, truncation: int, *, den=None):
         if truncation < 0:
@@ -82,6 +82,7 @@ class KClass:
         self.truncation = truncation
         self.nums = tuple(nums)
         self.den = den
+        self._powers = None
 
     # -- constructors ------------------------------------------------------
 
@@ -171,31 +172,20 @@ class KClass:
             return self * (1 / Fraction(other))
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("the truncated model takes no inverse")
-        if n == 0:
-            return KClass((1,), self.truncation, den=1)
-        if not self.nums[0]:
-            v = next((i for i, x in enumerate(self.nums) if x), self.truncation + 1)
-            if v * n > self.truncation:
-                return KClass.zero(self.truncation)
-        # square up to the lowest set bit, then fold in each higher one:
-        # bit_length(n) - 1 squarings and popcount(n) - 1 further products
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
+    def powers(self) -> tuple["KClass", ...]:
+        """(f^0, f^1, ..., f^N): the unit, a copy of f (f itself would make
+        the kept table a reference cycle), then entry m - 1 times f, one
+        product per entry and none once an entry has vanished (the later
+        ones are that zero class).  Built on the first call and kept, as a
+        class never changes, so every later call is a read."""
+        if self._powers is None:
+            N = self.truncation
+            table = [KClass((1,), N, den=1), KClass(self.nums, N, den=self.den)][: N + 1]
+            for _ in range(N - 1):
+                last = table[-1]
+                table.append(last if last.is_zero() else last * self)
+            self._powers = tuple(table)
+        return self._powers
 
     # -- comparison --------------------------------------------------------
 

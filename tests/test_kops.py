@@ -309,7 +309,7 @@ def _log1_over_common_denominator(a, order):
 
 def test_log_one_minus_matches_the_common_denominator_sum():
     u = line_power(1, 128) - 1
-    for x in (u, u * u, u + u * u, Fraction(1, 3) * u + 2 * u**3):
+    for x in (u, u * u, u + u * u, Fraction(1, 3) * u + 2 * u * u * u):
         expected = _log1_over_common_denominator((1 - x).coeffs, 128)
         assert log_one_minus(x) == KClass(expected, 128)
 
@@ -324,7 +324,7 @@ def test_artin_hasse_log_closed_form():
     for p in (2, 3, 5):
         for truncation in (6, 8):
             u = line_power(1, truncation) - 1
-            for x in (u, u * u, u + u * u, 2 * u + u**3):
+            for x in (u, u * u, u + u * u, 2 * u + u * u * u):
                 lhs = artin_hasse_log(p, x)
                 logx = log_one_minus(x)
                 rhs = logx - psi(p, logx) / p
@@ -351,8 +351,8 @@ def _log_by_theta(p, x):
 
 
 def test_artin_hasse_log_is_the_theta_sum():
-    # the logarithm carries its powers from one t to the next rather than
-    # calling theta; it must still equal the sum of theta terms
+    # the logarithm reads its powers off x's table rather than calling
+    # theta; it must still equal the sum of theta terms
     for p in (2, 3, 5):
         for truncation in range(1, 13):
             u = line_power(1, truncation) - 1
@@ -377,6 +377,25 @@ def test_artin_hasse_log_is_p_locally_integral():
         f = artin_hasse_log(p, u)
         assert Claim(p).admits(f.den)
         assert all(c.denominator % p != 0 for c in f.coeffs)
+
+
+def test_theta_and_the_logarithm_take_no_product_once_the_table_exists(monkeypatch):
+    # every power they read comes off the class's table of powers, so with
+    # the table built (and psi^p's substitution rows cached) they take no
+    # product; a fresh class, as the tables are kept
+    products = []
+    mul = series.mul
+    for p in (2, 3, 5):
+        u = line_power(1, 9) - 1
+        x = u + u * u
+        x.powers()
+        psi(p, x)
+        monkeypatch.setattr(series, "mul", lambda *args: products.append(args) or mul(*args))
+        for t in range(4):
+            theta(p, t, x)
+        artin_hasse_log(p, x)
+        monkeypatch.undo()
+    assert products == []
 
 
 def test_artin_hasse_log_input_validation():

@@ -290,3 +290,26 @@ def test_each_check_is_declared_through_report_rows():
                 callers.add((path.stem, getattr(scope, "name", None)))
     assert defaults == []
     assert callers == {("report", "rows"), ("bockstein", "page_rows")}
+
+
+def test_every_thunk_of_all_reads_only_its_key():
+    # a thunk with closure cells reads something besides its parameters,
+    # such as a suite input that its row's key lacks; `all` hands report.rows
+    # none
+    code, count, closures = _fresh(
+        """
+        import contextlib, io, json
+        from kverify import report
+        from kverify.cli import main
+        rows, thunks = report.rows, []
+        def recording(name, space, thunk, notes=()):
+            thunks.append((name, thunk))
+            return rows(name, space, thunk, notes)
+        report.rows = recording
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["all", "--json"])
+        closures = sorted({name for name, thunk in thunks if thunk.__closure__ is not None})
+        print(json.dumps([code, len(thunks), closures]))
+        """
+    )
+    assert code == 0 and count > 0 and closures == []

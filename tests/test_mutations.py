@@ -29,8 +29,9 @@ No fault turns these FAIL yet (ROADMAP items):
 
 A fault replaces the function in every kverify module that binds it (cli
 binds exact.bernoulli for the benchmark; every other module reads its
-siblings' functions through their modules), and the package's lru_caches
-are cleared before and after each case, so no faulted value outlives it.
+siblings' functions through their modules), and a method on its class, which
+alone binds it; the package's lru_caches are cleared before and after each
+case, so no faulted value outlives it.
 """
 
 import importlib
@@ -100,7 +101,17 @@ def _conjugate_plus_u(r_line_conjugate):
     return lambda k, truncation: r_line_conjugate(k, truncation) + KClass([0, 1], truncation)
 
 
-# (home module, name, fault of the original, {check name: its non-PASS statuses})
+def _powers_top_plus_one(powers):
+    def fault(f):
+        table = powers(f)
+        return table[:2] + tuple(
+            KClass([*g.nums[:-1], g.nums[-1] + 1], g.truncation, den=g.den) for g in table[2:]
+        )
+
+    return fault
+
+
+# (home module or class, name, fault of the original, {check name: its non-PASS statuses})
 CASES = {
     "series.mul-top-plus-one": (
         series,
@@ -171,6 +182,12 @@ CASES = {
         _choose_k_plus_two,
         {"denominator-valuation": {FAIL}, "eigenvalue-p-local": {FAIL}},
     ),
+    "polyring.KClass.powers-top-plus-one-from-f^2": (
+        KClass,
+        "powers",
+        _powers_top_plus_one,
+        {"p-local-log-closed-form": {ERROR}, "theta-integrality": {FAIL}},
+    ),
     "polyring.r_line_conjugate-plus-u": (
         polyring,
         "r_line_conjugate",
@@ -202,6 +219,8 @@ def test_fault_moves_exactly_its_check_names(monkeypatch, capsys, case):
     fault = make_fault(original)
     clear_caches()
     try:
+        if isinstance(home, type):  # a method is bound on its class alone
+            monkeypatch.setattr(home, name, fault)
         for module in _modules():
             for attr, value in vars(module).items():
                 if value is original:

@@ -63,14 +63,19 @@ def test_scalar_minus_class_is_negated_class_minus_scalar(fs, q):
     assert q - f == -(f - q)
 
 
+def _repeated_products(f: KClass) -> list[KClass]:
+    """f^0, ..., f^N as m-fold products, from the unit."""
+    out = [line_power(0, f.truncation)]
+    for _ in range(f.truncation):
+        out.append(out[-1] * f)
+    return out
+
+
 @settings(max_examples=40)
-@given(kclass_tuples(count=1, integral=True), st.integers(min_value=0, max_value=5))
-def test_power_is_repeated_product(fs, n):
+@given(kclass_tuples(count=1))
+def test_powers_are_repeated_products(fs):
     (f,) = fs
-    expected = line_power(0, f.truncation)
-    for _ in range(n):
-        expected = expected * f
-    assert f**n == expected
+    assert list(f.powers()) == _repeated_products(f)
 
 
 _POWER_SAMPLES = (
@@ -81,29 +86,20 @@ _POWER_SAMPLES = (
 )
 
 
-def test_zeroth_power_is_the_unit_and_negative_powers_are_refused():
-    # the model takes no inverse, not even of a class whose augmentation is a unit
-    for f in _POWER_SAMPLES + (KClass.zero(4),):
-        one = f**0
+def test_zeroth_power_is_the_unit():
+    for f in _POWER_SAMPLES + (KClass.zero(4), KClass.zero(0)):
+        one = f.powers()[0]
         assert (one, one.truncation, one.den) == (1, f.truncation, 1)
-        for n in (1, 2, 7):
-            with pytest.raises(ValueError, match="takes no inverse"):
-                f**-n
+        assert len(f.powers()) == f.truncation + 1
 
 
-def test_power_matches_repeated_product_on_samples():
+def test_powers_match_repeated_products_on_samples():
     for f in _POWER_SAMPLES:
-        expected = line_power(0, f.truncation)
-        for n in range(21):
-            got = f**n
-            assert got == expected, (f, n)
-            expected = expected * f
+        assert list(f.powers()) == _repeated_products(f), f
 
 
-def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
-    # from the lowest set bit up: bit_length(n) - 1 squarings and
-    # popcount(n) - 1 further products, none with the unit class; and none
-    # at all once the power has vanished (valuation v = 1, v n > N = 6)
+def _counting_products(monkeypatch) -> list:
+    """A list that grows by one on each series.mul call from here on."""
     products = []
     mul = series.mul
 
@@ -112,44 +108,52 @@ def test_power_takes_one_product_per_squaring_and_set_bit(monkeypatch):
         return mul(*args)
 
     monkeypatch.setattr(series, "mul", counting_mul)
-    f = _POWER_SAMPLES[1]
-    for n in range(1, 41):
+    return products
+
+
+def test_powers_take_one_product_per_entry_and_are_kept(monkeypatch):
+    # a fresh class (the samples above may hold their tables already): the
+    # first call takes one product for each of f^2..f^N (f^1 is a copy of
+    # f), and every later call returns the same table with no product
+    f = KClass([Fraction(1, 3), 1, Fraction(2, 9)], 6)
+    products = _counting_products(monkeypatch)
+    table = f.powers()
+    assert len(products) == f.truncation - 1
+    assert table[1] == f and table[1] is not f
+    products.clear()
+    assert f.powers() is table and products == []
+
+
+def test_vanished_powers_cost_no_product(monkeypatch):
+    # f of u-adic valuation v >= 1 has f^m = 0 exactly when v m > N: the
+    # entry that first vanishes takes its product (unless it is f^1, a
+    # copy), and the entries after it take none; a class with a nonzero
+    # constant term never vanishes, and the zero class vanishes at f^1.
+    # Fresh classes, as the tables are kept.
+    def fresh():
+        u = line_power(1, 6) - 1
+        return [
+            (u, 1),
+            (u * u, 2),
+            (u + u * u, 1),
+            (KClass([0, 0, 0, 5], 6), 3),
+            (KClass([0, Fraction(1, 2), 1], 6), 1),
+            (KClass([0, 0, 0, 0, 1], 6), 4),
+            (line_power(3, 6), 0),
+            (KClass.zero(4), None),
+        ]
+
+    expected = [_repeated_products(f) for f, _ in fresh()]
+    cases = fresh()
+    products = _counting_products(monkeypatch)
+    for (f, v), repeated in zip(cases, expected):
+        N = f.truncation
+        first_zero = 1 if v is None else N // v + 1 if v else N + 1
         products.clear()
-        f**n
-        if n > f.truncation:
-            assert len(products) == 0, n
-        else:
-            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
-
-
-def test_vanished_power_is_the_zero_class_with_no_product(monkeypatch):
-    # f of u-adic valuation v >= 1 has f**n = 0 once v n > N: that power is
-    # still the repeated product, the zero class, and takes
-    # no product; a class with a nonzero constant term never takes this way
-    u = line_power(1, 6) - 1
-    reduced = [(u, 1), (u * u, 2), (u + u * u, 1), (_POWER_SAMPLES[2], 1)]
-    products = []
-    mul = series.mul
-
-    def counting_mul(*args):
-        products.append(1)
-        return mul(*args)
-
-    cases = []
-    for f, v in reduced + [(_POWER_SAMPLES[0], 0), (_POWER_SAMPLES[3], 0)]:
-        expected = line_power(0, f.truncation)
-        for n in range(1, 3 * f.truncation):
-            expected = expected * f
-            cases.append((f, v, n, expected))
-    monkeypatch.setattr(series, "mul", counting_mul)
-    for f, v, n, expected in cases:
-        products.clear()
-        got = f**n
-        assert got == expected, (f, n)
-        if v and v * n > f.truncation:
-            assert got.is_zero() and products == [], (f, n)
-        else:
-            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, (f, n)
+        table = f.powers()
+        assert list(table) == repeated, f
+        assert [m for m in range(N + 1) if table[m].is_zero()] == list(range(first_zero, N + 1))
+        assert len(products) == max(0, min(N, first_zero) - 1), f
 
 
 def test_truncation_mismatch_raises():
@@ -246,7 +250,7 @@ def _lowest_terms(f: KClass) -> bool:
 @given(kclass_tuples(count=2), small_fractions)
 def test_every_class_is_in_lowest_terms(fg, q):
     f, g = fg
-    results = [f, g, f + g, f - g, -f, f * g, f * q, f - q, f**3]
+    results = [f, g, f + g, f - g, -f, f * g, f * q, f - q, f * f * f]
     if q != 0:
         results.append(f / q)
     for h in results:
