@@ -22,8 +22,9 @@ recomputes each page's homology and compares against the next page's
 closed-form basis, degree by degree, on the union of the two supports;
 everywhere else both sides are zero.  The exterior exponent is p^r - 1:
 the variant reading p^(r-1) already contradicts the computed homology of
-the first page in degree five for (p, deg y) = (3, 2), and the report
-notes say so.  page_rows turns each model's report into the `bockstein` rows.
+the first page in degree five for (p, deg y) = (3, 2), and EXPONENT_NOTE,
+on each model's page-2 summary row, says so.  page_rows turns each model's
+(rows, mismatches) into the `bockstein` rows.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import exact, report
+
+
+EXPONENT_NOTE = (
+    "surviving exterior generator on page r+1 is y^(p^r - 1) x; the "
+    "variant exponent p^(r-1) contradicts the computed first-page "
+    "homology already (degree 5 at p=3, generator degree 2)",
+)
 
 
 class ModelKind(Enum):
@@ -258,22 +266,14 @@ def page_homology_dims(page: PageBasis, max_degree: int) -> list[tuple[range, in
     return pieces
 
 
-class PageReport(NamedTuple):
-    """Computed homology against the closed form, where either is nonzero.
+def verify_closed_form_pages(model: ModelDGA, max_page: int):
+    """(rows, mismatches): the homology of each page against the next
+    page's closed-form basis.
 
     rows holds (page, degree, computed_dim, predicted_dim) for each degree
     below the basis bound at which either dimension is nonzero; at every
     other degree both are zero.  mismatches maps each verified page to the
     number of its rows whose two dimensions differ.
-    """
-
-    rows: tuple[tuple[int, int, int, int], ...]
-    mismatches: dict[int, int]
-    notes: tuple[str, ...]
-
-
-def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
-    """Homology of each page against the next page's closed-form basis.
 
     Covers pages 2..max_page over degrees 0..max_degree-1, expanding to
     degrees only the computed pieces of nonzero dimension and the runs of
@@ -298,18 +298,14 @@ def verify_closed_form_pages(model: ModelDGA, max_page: int) -> PageReport:
             if have or want:
                 rows.append((target, degree, have, want))
                 mismatches[target] += have != want
-    notes = (
-        "surviving exterior generator on page r+1 is y^(p^r - 1) x; the "
-        "variant exponent p^(r-1) contradicts the computed first-page "
-        "homology already (degree 5 at p=3, generator degree 2)",
-    )
-    return PageReport(tuple(rows), mismatches, notes)
+    return tuple(rows), mismatches
 
 
 def page_rows(p: int, deg: int, pages: int, max_deg: int) -> list[report.CheckReport]:
     """Summary and dimension rows of each model.  Only the page-2 summary
-    row runs the page engine, so it is timed inside that row and a raise is
-    an ERROR row on every summary page; the other rows read its report."""
+    row runs the page engine, so it is timed inside that row and carries
+    EXPONENT_NOTE, and a raise is an ERROR row on every summary page; the
+    other rows read the engine's (rows, mismatches)."""
     rows = []
     for kind in ModelKind:
         label = kind.value  # read once: Enum.value is a Python-level property
@@ -317,20 +313,20 @@ def page_rows(p: int, deg: int, pages: int, max_deg: int) -> list[report.CheckRe
         found = []
 
         def page_two():
-            found.append(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
-            return f"{found[0].mismatches[2]} mismatches", "0 mismatches", found[0].notes
+            found.extend(verify_closed_form_pages(build_model(kind, p, deg, max_deg), pages))
+            return f"{found[1][2]} mismatches", "0 mismatches", EXPONENT_NOTE  # page 2's count
 
         first = report.run_check("bockstein-page-summary", {**params, "page": 2}, page_two)
         if not found:
             # the page engine raised: every summary row carries its error
             rows += [first._replace(parameters={**params, "page": n}) for n in range(2, pages + 1)]
             continue
-        result = found[0]
+        dimensions, mismatches = found
         rows.append(first)
         rows += report.make_rows(
             "bockstein-page-summary",
             (
-                ({**params, "page": page}, f"{result.mismatches[page]} mismatches", "0 mismatches")
+                ({**params, "page": page}, f"{mismatches[page]} mismatches", "0 mismatches")
                 for page in range(3, pages + 1)
             ),
         )
@@ -342,7 +338,7 @@ def page_rows(p: int, deg: int, pages: int, max_deg: int) -> list[report.CheckRe
                     str(computed),
                     str(predicted),
                 )
-                for page, degree, computed, predicted in result.rows
+                for page, degree, computed, predicted in dimensions
             ),
         )
     return rows

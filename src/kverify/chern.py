@@ -34,7 +34,9 @@ s-numbers are evaluated once and a repeated request costs a lookup.
 The series checks at the bottom pin the two classical identities tying the
 multiplicative series (exp(x) - 1)/x to the positive even Bernoulli numbers
 and to the Adams-averaged line class.  Both are verified coefficient by
-coefficient to a requested order, never assumed.
+coefficient to a requested order, never assumed: each check returns the
+first order at which its two sides differ, or None, and that order is all
+its row reads.
 
 The rows of `theorem-a` and `eigenvalue`, and the series rows of `all`, are
 built here: theorem_a_rows, eigenvalue_rows and series_rows.  Each check is
@@ -48,7 +50,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
-from typing import NamedTuple
 
 from . import exact, polyring, report, series
 from .polyring import KClass
@@ -134,21 +135,13 @@ def bh(order: int) -> KClass:
     return KClass([top // factorial(m + 1) for m in range(order + 1)], order, den=top)
 
 
-class SeriesCheck(NamedTuple):
-    order: int
-    passed: bool
-    first_mismatch: int | None
-    lhs: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]
+def _first_mismatch(lhs, rhs) -> int | None:
+    return next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
 
 
-def _compare(order: int, lhs: tuple, rhs: tuple) -> SeriesCheck:
-    mismatch = next((i for i in range(order + 1) if lhs[i] != rhs[i]), None)
-    return SeriesCheck(order, mismatch is None, mismatch, tuple(lhs), tuple(rhs))
-
-
-def bh_log_identity_check(order: int) -> SeriesCheck:
-    """log((exp(x)-1)/x) against x/2 + sum of (-1)^(n-1) B_n/(2n) x^(2n)/(2n)!.
+def bh_log_identity_check(order: int) -> int | None:
+    """The first order at which log((exp(x)-1)/x) and
+    x/2 + sum of (-1)^(n-1) B_n/(2n) x^(2n)/(2n)! differ, or None.
 
     Order must be even and at least two so the comparison window closes on
     a complete Bernoulli term.
@@ -167,19 +160,20 @@ def bh_log_identity_check(order: int) -> SeriesCheck:
             / (2 * n)
             / factorial(2 * n)
         )
-    return _compare(order, tuple(lhs), tuple(rhs))
+    return _first_mismatch(lhs, rhs)
 
 
-def bh_psi_relation_check(k: int, order: int) -> SeriesCheck:
-    """psi^k on the multiplicative series equals ch of the averaged line
-    class times the series; both sides land on (exp(kx)-1)/(kx)."""
+def bh_psi_relation_check(k: int, order: int) -> int | None:
+    """The first order at which psi^k on the multiplicative series and ch
+    of the averaged line class times the series differ, or None; both sides
+    land on (exp(kx)-1)/(kx)."""
     if k < 1:
         raise ValueError("k must be positive")
     if order < 1:
         raise ValueError("order must be positive")
     lhs = psi_H(k, bh(order))
     rhs = ch(polyring.rho_line(k, 1, order)) * bh(order)
-    return _compare(order, lhs.coeffs, rhs.coeffs)
+    return _first_mismatch(lhs.coeffs, rhs.coeffs)
 
 
 def eigenvalue_closed_form(k: int, n: int) -> Fraction:
@@ -266,8 +260,8 @@ def _p_local(p: int, k: int, n: int):
 
 
 def _valuation(p: int, k: int, n: int):
-    vc = exact.denominator_valuation_check(p, n)
-    return f"v={vc.lhs_valuation}", f"v={vc.rhs_valuation}", (vc.note,) if vc.note else ()
+    lhs, rhs, note = exact.denominator_valuation_check(p, n)
+    return f"v={lhs}", f"v={rhs}", (note,) if note else ()
 
 
 def eigenvalue_rows(p: int, k: int | None, n_max: int, truncation: int) -> list[report.CheckReport]:
@@ -296,6 +290,6 @@ def series_rows(order: int) -> list[report.CheckReport]:
     )
 
 
-def _agreement(check: SeriesCheck):
-    mismatch = f"first mismatch at order {check.first_mismatch}"
-    return "coefficients agree" if check.passed else mismatch, "coefficients agree", ()
+def _agreement(mismatch: int | None):
+    agree = "coefficients agree"
+    return agree if mismatch is None else f"first mismatch at order {mismatch}", agree, ()

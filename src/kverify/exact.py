@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from math import comb, factorial, gcd
 from operator import add
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import report
 
@@ -203,36 +203,20 @@ def choose_k(p: int) -> int:
         k += 2
 
 
-class ValuationCheck(NamedTuple):
-    """Result of comparing v_p(k^(2n) - 1) with the denominator valuation."""
+def denominator_valuation_check(p: int, n: int) -> tuple[int, int, str]:
+    """(v_p(k^(2n) - 1), v_p(Denom(B_n/2n)), note) for k = choose_k(p).
 
-    prime: int
-    index: int
-    k: int
-    lhs_valuation: int
-    rhs_valuation: int
-    note: str
-
-
-def denominator_valuation_check(p: int, n: int) -> ValuationCheck:
-    """Compare v_p(k^(2n) - 1) against v_p(Denom(B_n/2n)) for k = choose_k(p).
-
-    At p = 2 the right side carries an extra factor of 2; the note records
-    when that route is taken.
+    At p = 2 the right side carries an extra factor of 2, and the note
+    records that this route was taken; at odd p the note is empty.
     """
     _require_prime(p)
     if n < 1:
         raise ValueError("index starts at 1")
-    k = choose_k(p)
-    lhs = _int_valuation(k ** (2 * n) - 1, p)
+    lhs = _int_valuation(choose_k(p) ** (2 * n) - 1, p)
     _, denom = num_denom(n)
     if p == 2:
-        rhs = _int_valuation(2 * denom, 2)
-        note = "extra factor of 2 applied on the denominator side"
-    else:
-        rhs = _int_valuation(denom, p)
-        note = ""
-    return ValuationCheck(p, n, k, lhs, rhs, note)
+        return lhs, _int_valuation(2 * denom, 2), "extra factor of 2 applied on the denominator side"
+    return lhs, _int_valuation(denom, p), ""
 
 
 def bernoulli_rows(n_max: int) -> list[report.CheckReport]:

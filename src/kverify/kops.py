@@ -7,11 +7,11 @@ classes they act on are built in polyring.  The logarithm telescopes to
 (1 - psi^p/p) log(1-x); tests pin that closed form, the code here only ever
 evaluates the defining sums.
 Each power is taken once: theta and the logarithm read f^m off the class's
-table of powers (KClass.powers), and psi^k's substitution rows are the
-table of (1+u)^k - 1.  The double-loop form is the
-same sum for a class times the reduced generator w of a double suspension;
-there w^2 = 0 and psi^k scales w by k, so two terms survive, and
-l_double_loop computes those two on the base class directly.
+table of powers (KClass.powers), or past its end one cached zero class,
+and psi^k's substitution rows are the table of (1+u)^k - 1.  The
+double-loop form is the same sum for a class times the reduced generator w
+of a double suspension; there w^2 = 0 and psi^k scales w by k, so two terms
+survive, and l_double_loop computes those two on the base class directly.
 
 Everything is exact.  Division by p^t is checked coefficient by coefficient
 and raises IntegralityViolation, carrying the offending coefficient, rather
@@ -97,10 +97,13 @@ def _check_reduced(f: KClass, name: str) -> None:
         raise ValueError(f"{name} is defined on classes with augmentation zero")
 
 
+_zero = lru_cache(maxsize=None)(KClass.zero)  # one zero class per truncation
+
+
 def _power(f: KClass, m: int) -> KClass:
     """f^m, for m >= 0 and a reduced f, off f's table of powers."""
     table = f.powers()
-    return table[m] if m < len(table) else KClass.zero(f.truncation)
+    return table[m] if m < len(table) else _zero(f.truncation)
 
 
 def theta(p: int, t: int, f: KClass) -> KClass:

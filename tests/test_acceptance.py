@@ -156,10 +156,9 @@ def test_5_theta_integrality_and_log_forms():
 def test_6_counterexample_certificates():
     ok = True
     for p in (3, 5, 7, 11, 13):
-        cert = akita_counterexample(p)
-        ok = ok and cert.s_pairing == (-1) ** (2 * p - 1) % p != 0
-        ok = ok and cert.num_residue == num_denom(p)[0] % p != 0
-        ok = ok and cert.refutes
+        s_pairing, num_residue, _ = akita_counterexample(p)
+        ok = ok and s_pairing == (-1) ** (2 * p - 1) % p != 0
+        ok = ok and num_residue == num_denom(p)[0] % p != 0
     _gate("6/8 odd s-number pairing certificate at p in {3,5,7,11,13}", ok)
 
 
@@ -168,12 +167,12 @@ def test_7_torsion_page_dimensions():
     for p in (3, 5, 7):
         for deg in (2, 4):
             bound = 2 * deg * p**3
-            report = verify_closed_form_pages(
+            _, mismatches = verify_closed_form_pages(
                 build_model(ModelKind.TYPE1, p, deg, bound), 3
             )
-            ok = ok and report.mismatches == {2: 0, 3: 0}
+            ok = ok and mismatches == {2: 0, 3: 0}
             model2 = build_model(ModelKind.TYPE2, p, deg, bound)
-            ok = ok and verify_closed_form_pages(model2, 3).mismatches == {2: 0, 3: 0}
+            ok = ok and verify_closed_form_pages(model2, 3)[1] == {2: 0, 3: 0}
             for page in compute_page(model2, 3)[1:]:
                 ok = ok and page.runs == (Run(range(1), range(1), False, None),)
     _gate("7/8 torsion page dimensions match the closed form, TYPE2 collapses", ok)
@@ -190,8 +189,8 @@ def test_8_algebraic_property_suites():
         ok = ok and psi(k, psi(l, f)) == psi(k * l, f)
         ok = ok and psi(k, f * g) == psi(k, f) * psi(k, g)
         ok = ok and ch(psi(k, f)) == psi_H(k, ch(f))
-    ok = ok and bh_log_identity_check(30).passed
-    ok = ok and all(bh_psi_relation_check(k, 30).passed for k in (2, 3, 5))
+    ok = ok and bh_log_identity_check(30) is None
+    ok = ok and all(bh_psi_relation_check(k, 30) is None for k in (2, 3, 5))
     # compute_page raises if any differential fails to square to zero
     for kind in (ModelKind.TYPE1, ModelKind.TYPE2):
         compute_page(build_model(kind, 3, 2, 60), 3)

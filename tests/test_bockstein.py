@@ -149,6 +149,20 @@ def test_variant_exterior_exponent_is_wrong():
     assert dims[3] == 0
 
 
+def test_page_two_summary_rows_carry_the_exponent_note():
+    # the note that the check above backs is stated once per model, on the
+    # summary row that runs the page engine
+    (note,) = bockstein.EXPONENT_NOTE
+    assert "y^(p^r - 1) x" in note and "degree 5 at p=3" in note
+    summaries = [
+        row for row in bockstein.page_rows(3, 2, 4, 60) if row.check_name == "bockstein-page-summary"
+    ]
+    assert len(summaries) == 2 * 3
+    for row in summaries:
+        page = row.parameters["page"]
+        assert row.notes == (bockstein.EXPONENT_NOTE if page == 2 else ()), row.parameters
+
+
 def test_euler_characteristic_bookkeeping():
     # alternating sums: chi(H) = chi(C) - (-1)^(D-1) rank(d at degree D)
     model = build_model(ModelKind.TYPE1, 3, 2, 13)
@@ -190,12 +204,11 @@ def test_later_pages_step_through_powers():
 def test_closed_form_pages_verify(p, deg):
     bound = 2 * deg * p**2 + deg
     model = build_model(ModelKind.TYPE1, p, deg, bound)
-    report = verify_closed_form_pages(model, 3)
-    assert report.mismatches == {2: 0, 3: 0}
-    assert all(computed == predicted for _, _, computed, predicted in report.rows)
-    pages = {row[0] for row in report.rows}
+    rows, mismatches = verify_closed_form_pages(model, 3)
+    assert mismatches == {2: 0, 3: 0}
+    assert all(computed == predicted for _, _, computed, predicted in rows)
+    pages = {row[0] for row in rows}
     assert pages == {2, 3}
-    assert report.notes
 
 
 def test_type2_collapses_to_one_class():
@@ -207,9 +220,7 @@ def test_type2_collapses_to_one_class():
     for page in pages[1:]:
         assert _expand(page) == ({0: (Monomial(0, False),)}, {})
         assert page.runs == (Run(range(1), range(1), False, None),)
-    report = verify_closed_form_pages(model, 3)
-    assert report.mismatches == {2: 0, 3: 0}
-    assert report.rows == ((2, 0, 1, 1), (3, 0, 1, 1))
+    assert verify_closed_form_pages(model, 3) == (((2, 0, 1, 1), (3, 0, 1, 1)), {2: 0, 3: 0})
 
 
 def test_each_distinct_block_is_row_reduced_once(monkeypatch):
@@ -248,15 +259,15 @@ def test_each_distinct_block_is_row_reduced_once(monkeypatch):
 
 def test_report_keeps_only_nonzero_degrees_and_counts_mismatches(monkeypatch):
     model = build_model(ModelKind.TYPE1, 3, 2, 60)
-    report = verify_closed_form_pages(model, 3)
-    assert all(computed or predicted for _, _, computed, predicted in report.rows)
+    rows, _ = verify_closed_form_pages(model, 3)
+    assert all(computed or predicted for _, _, computed, predicted in rows)
     # rank zero everywhere leaves every chain a cycle and no boundary, so the
     # computed side outgrows the closed form wherever a monomial dies
     monkeypatch.setattr(bockstein, "rank_mod_p", lambda matrix, p: 0)
-    broken = verify_closed_form_pages(model, 3)
+    rows, mismatches = verify_closed_form_pages(model, 3)
     for page in (2, 3):
-        wrong = [row for row in broken.rows if row[0] == page and row[2] != row[3]]
-        assert broken.mismatches[page] == len(wrong) > 0
+        wrong = [row for row in rows if row[0] == page and row[2] != row[3]]
+        assert mismatches[page] == len(wrong) > 0
 
 
 def test_verify_needs_two_pages():
@@ -453,7 +464,7 @@ def test_report_matches_dense_pages_at_every_bound(kind, p, deg):
     # or leave out the runs of pages 3 and 4
     for bound in range(deg, 2 * deg * p**2 + deg + 1):
         report = verify_closed_form_pages(build_model(kind, p, deg, bound), 4)
-        assert (report.rows, report.mismatches) == _dense_report(kind, p, deg, bound, 4), bound
+        assert report == _dense_report(kind, p, deg, bound, 4), bound
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -180,30 +180,40 @@ def test_bh_coefficients():
 
 def test_bh_log_identity_through_order_thirty():
     for order in range(2, 31, 2):
-        check = bh_log_identity_check(order)
-        assert check.passed and check.first_mismatch is None, order
+        assert bh_log_identity_check(order) is None, order
     with pytest.raises(ValueError):
         bh_log_identity_check(5)
     with pytest.raises(ValueError):
         bh_log_identity_check(0)
 
 
+def test_bh_log_identity_reports_the_first_mismatch(monkeypatch):
+    log1 = series.log1
+
+    def shifted(a, den, order):
+        nums, e = log1(a, den, order)
+        return nums[:4] + [x + 1 for x in nums[4:]], e
+
+    monkeypatch.setattr(series, "log1", shifted)
+    assert bh_log_identity_check(6) == 4
+    assert chern._agreement(4) == ("first mismatch at order 4", "coefficients agree", ())
+    assert chern._agreement(None) == ("coefficients agree", "coefficients agree", ())
+
+
 def test_bh_log_identity_frozen_coefficients():
-    check = bh_log_identity_check(6)
-    assert check.lhs[1] == Fraction(1, 2)
-    assert check.lhs[2] == Fraction(1, 24)
-    assert check.lhs[3] == 0
-    assert check.lhs[4] == Fraction(-1, 2880)
-    assert check.lhs == check.rhs
+    # the left side of the identity at order 6, as bh_log_identity_check reads it
+    nums, den = series.log1(bh(6).nums, bh(6).den, 6)
+    lhs = [Fraction(x, den) for x in nums]
+    assert lhs[:5] == [0, Fraction(1, 2), Fraction(1, 24), 0, Fraction(-1, 2880)]
+    assert bh_log_identity_check(6) is None
 
 
 def test_bh_psi_relation():
     for k in (2, 3, 5):
         for order in (8, 30):
-            check = bh_psi_relation_check(k, order)
-            assert check.passed, (k, order)
+            assert bh_psi_relation_check(k, order) is None, (k, order)
             # both sides are (exp(kx) - 1)/(kx)
-            assert check.lhs == tuple(
+            assert psi_H(k, bh(order)).coeffs == tuple(
                 Fraction(k) ** m / factorial(m + 1) for m in range(order + 1)
             )
     with pytest.raises(ValueError):

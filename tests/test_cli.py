@@ -518,7 +518,7 @@ def _numerator_times_p(p, num_denom=exact.num_denom):
 @pytest.mark.parametrize(
     "home,name,mutant",
     [
-        (dyerlashof, "pair_primitive_s", lambda m, c: 0),
+        (dyerlashof, "pair_primitive_s", lambda m, p, index, coefficient: 0),
         (exact, "num_denom", _numerator_times_p),
     ],
     ids=["zero-pairing", "numerator-divisible-by-p"],

@@ -398,6 +398,22 @@ def test_theta_and_the_logarithm_take_no_product_once_the_table_exists(monkeypat
     assert products == []
 
 
+def test_reads_past_the_table_return_one_zero_class(monkeypatch):
+    # past f^N every power of a reduced class is zero, and each read
+    # returns the one zero class of its truncation, building nothing
+    x = line_power(1, 5) - 1
+    first = kops._power(x, 6)
+    assert first.is_zero() and first.truncation == 5
+    built = []
+    init = KClass.__init__
+    monkeypatch.setattr(
+        KClass, "__init__", lambda self, *args, **kw: built.append(args) or init(self, *args, **kw)
+    )
+    assert kops._power(x, 6) is first
+    assert kops._power(x, 11) is first
+    assert built == []
+
+
 def test_artin_hasse_log_input_validation():
     with pytest.raises(ValueError):
         artin_hasse_log(6, KClass([0, 1], 3))
